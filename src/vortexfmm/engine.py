@@ -13,6 +13,9 @@ Passes, in order:
    far field always sees point vortices, which is why particle cores must
    stay small next to the leaf size (warned about at sigma > half_width / 2).
 
+``evaluate`` runs this one pipeline with the particles themselves as targets;
+``evaluate_at`` runs the same pipeline at arbitrary targets binned into leaves.
+
 Translations are grouped by index offset: at a fixed level every pair at the
 same (dx, dy) shares one translation matrix, so each group is a single matrix
 product over the stacked source coefficients.  Per destination the groups
@@ -33,7 +36,7 @@ from . import expansions
 from .expansions import BoundParams, truncation_bound
 from .kernels import TWO_PI, KernelKind
 from .model import Domain, Particle, enclosing_domain, to_arrays
-from .quadtree import OutOfDomainError, Tree, build_tree, grid_indices
+from .quadtree import Tree, _leaf_tree, build_tree
 
 SQRT2 = np.sqrt(2.0)
 
@@ -89,26 +92,36 @@ def _il_offsets(px: int, py: int) -> list[tuple[int, int]]:
     return out
 
 
-def _parity_grid(level: int, px: int, py: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major linear ids and (ix, iy) of cells with the given index parity."""
+def _interaction_groups(level: int):
+    """Yield ``(dx, dy, dest_ids, src_ids)`` for every interaction-list offset at ``level``.
+
+    Fixed order: destination parity class, then row-major offset.  Each group
+    holds the row-major cells of that parity whose source at (dx, dy) is in
+    bounds; empty sources are not filtered.
+    """
     m = 2**level
-    gx = np.arange(px, m, 2)
-    gy = np.arange(py, m, 2)
-    GX, GY = np.meshgrid(gx, gy)
-    return (GY * m + GX).ravel(), GX.ravel(), GY.ravel()
+    for py in (0, 1):
+        for px in (0, 1):
+            GX, GY = np.meshgrid(np.arange(px, m, 2), np.arange(py, m, 2))
+            dix, diy = GX.ravel(), GY.ravel()
+            dest = diy * m + dix
+            for dx, dy in _il_offsets(px, py):
+                sx = dix + dx
+                sy = diy + dy
+                ok = (sx >= 0) & (sx < m) & (sy >= 0) & (sy < m)
+                yield dx, dy, dest[ok], sy[ok] * m + sx[ok]
 
 
-def _quadrant_ids(level: int) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-    """Per child quadrant (cx, cy): (parent linear ids, child linear ids) at ``level``."""
+def _quadrant_groups(level: int):
+    """Yield ``(child center - parent center in child sides, parent ids, child ids)``
+    per child quadrant at ``level``, row-major."""
     m = 2**level
     mp = m // 2
     JX, JY = np.meshgrid(np.arange(mp), np.arange(mp))
     parents = (JY * mp + JX).ravel()
-    out = {}
     for cy in (0, 1):
         for cx in (0, 1):
-            out[(cx, cy)] = (parents, ((2 * JY + cy) * m + 2 * JX + cx).ravel())
-    return out
+            yield (cx - 0.5) + 1j * (cy - 0.5), parents, ((2 * JY + cy) * m + 2 * JX + cx).ravel()
 
 
 def upward_pass(tree: Tree, z_sorted: np.ndarray, gamma_sorted: np.ndarray, order: int) -> list:
@@ -136,13 +149,9 @@ def upward_pass(tree: Tree, z_sorted: np.ndarray, gamma_sorted: np.ndarray, orde
     for level in range(levels, 2, -1):
         side = tree.cell_side(level)
         coarse = np.zeros((4 ** (level - 1), p + 1), dtype=np.complex128)
-        quads = _quadrant_ids(level)
-        for cy in (0, 1):
-            for cx in (0, 1):
-                parents, children = quads[(cx, cy)]
-                d = side * ((cx - 0.5) + 1j * (cy - 0.5))
-                S = expansions.multipole_shift_matrix(d, p, p)
-                coarse[parents] += mult[level][children] @ S.T
+        for shift, parents, children in _quadrant_groups(level):
+            S = expansions.multipole_shift_matrix(side * shift, p, p)
+            coarse[parents] += mult[level][children] @ S.T
         mult[level - 1] = coarse
     return mult
 
@@ -159,30 +168,21 @@ def translate_pass(tree: Tree, multipoles: list, order: int) -> tuple[list, int]
     locals_: list = [None] * (levels + 1)
     count = 0
     for level in range(2, levels + 1):
-        m = 2**level
         side = tree.cell_side(level)
-        loc = np.zeros((m * m, p + 1), dtype=np.complex128)
+        loc = np.zeros((4**level, p + 1), dtype=np.complex128)
         occupied = tree.nonempty(level)
-        for py in (0, 1):
-            for px in (0, 1):
-                dest, dix, diy = _parity_grid(level, px, py)
-                for dx, dy in _il_offsets(px, py):
-                    sx = dix + dx
-                    sy = diy + dy
-                    ok = (sx >= 0) & (sx < m) & (sy >= 0) & (sy < m)
-                    d_ok = dest[ok]
-                    s_ok = sy[ok] * m + sx[ok]
-                    nonzero = occupied[s_ok]
-                    d_ok = d_ok[nonzero]
-                    s_ok = s_ok[nonzero]
-                    if d_ok.size == 0:
-                        continue
-                    count += d_ok.size
-                    # t = local center - source center; the offset points
-                    # from destination to source.
-                    t = -side * (dx + 1j * dy)
-                    T = expansions.m2l_matrix(t, p, p)
-                    loc[d_ok] += multipoles[level][s_ok] @ T.T
+        for dx, dy, dest, src in _interaction_groups(level):
+            nonzero = occupied[src]
+            dest = dest[nonzero]
+            src = src[nonzero]
+            if dest.size == 0:
+                continue
+            count += dest.size
+            # t = local center - source center; the offset points from
+            # destination to source.
+            t = -side * (dx + 1j * dy)
+            T = expansions.m2l_matrix(t, p, p)
+            loc[dest] += multipoles[level][src] @ T.T
         locals_[level] = loc
     return locals_, count
 
@@ -192,18 +192,17 @@ def downward_pass(tree: Tree, locals_: list) -> list:
     for level in range(3, tree.levels + 1):
         side = tree.cell_side(level)
         p = locals_[level].shape[1] - 1
-        quads = _quadrant_ids(level)
-        for cy in (0, 1):
-            for cx in (0, 1):
-                parents, children = quads[(cx, cy)]
-                s = side * ((cx - 0.5) + 1j * (cy - 0.5))
-                R = expansions.local_shift_matrix(s, p, p)
-                locals_[level][children] += locals_[level - 1][parents] @ R.T
+        for shift, parents, children in _quadrant_groups(level):
+            R = expansions.local_shift_matrix(side * shift, p, p)
+            locals_[level][children] += locals_[level - 1][parents] @ R.T
     return locals_
 
 
 def far_field(tree: Tree, locals_: list, z_sorted: np.ndarray) -> np.ndarray:
-    """Evaluate each particle's leaf-local expansion at the particle (f values)."""
+    """Evaluate each target's leaf-local expansion at the target (f values).
+
+    ``tree`` bins the leaf-sorted targets ``z_sorted`` (often the particles).
+    """
     leaf = tree.sorted_leaf
     delta = z_sorted - tree.centers(tree.levels)[leaf]
     coeffs = locals_[tree.levels][leaf]
@@ -263,25 +262,33 @@ def near_field(
     gamma_sorted: np.ndarray,
     sigma_sorted: np.ndarray,
     kind: KernelKind,
+    targets: Tree | None = None,
+    zt_sorted: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Direct (u, v) contributions from each particle's own and adjacent leaves.
+    """Direct (u, v) contributions from each target's own and adjacent leaves.
 
-    Exact self-terms are excluded by the coincident-point convention.  Returns
-    velocities in sorted particle order plus the ordered pair count.
+    Targets are the particles unless a ``targets`` tree and leaf-sorted
+    ``zt_sorted`` are given.  Exact self-terms are excluded by the
+    coincident-point convention.  Returns velocities in sorted target order
+    plus the ordered pair count; a particle is never its own pair.
     """
-    vel = np.zeros((len(z_sorted), 2))
-    pairs = 0
+    if targets is None:
+        targets, zt_sorted = tree, z_sorted
+    vel = np.zeros((len(zt_sorted), 2))
+    pairs = -len(z_sorted) if targets is tree else 0
     blob = kind is KernelKind.GAUSSIAN_BLOB
-    for linear in np.flatnonzero(tree.nonempty(tree.levels)):
-        lo, hi = tree.leaf_starts[linear], tree.leaf_starts[linear + 1]
+    for linear in np.flatnonzero(targets.nonempty(tree.levels)):
+        lo, hi = targets.leaf_starts[linear], targets.leaf_starts[linear + 1]
         ranges = _neighbor_ranges(tree, linear)
+        if not ranges:
+            continue
         zs = _gather(z_sorted, ranges)
         gs = _gather(gamma_sorted, ranges)
         ss = _gather(sigma_sorted, ranges) if blob else sigma_sorted[:0]
-        u, v = _pair_velocity(z_sorted[lo:hi], zs, gs, ss, kind)
+        u, v = _pair_velocity(zt_sorted[lo:hi], zs, gs, ss, kind)
         vel[lo:hi, 0] = u
         vel[lo:hi, 1] = v
-        pairs += (hi - lo) * (zs.size - 1)
+        pairs += (hi - lo) * zs.size
     return vel, pairs
 
 
@@ -304,27 +311,18 @@ def bound_budgets(tree: Tree, gamma: np.ndarray, order: int) -> np.ndarray:
         fine = amp[level + 1].reshape(2 * mk, 2 * mk)
         amp[level] = (fine[0::2, 0::2] + fine[0::2, 1::2] + fine[1::2, 0::2] + fine[1::2, 1::2]).ravel()
 
-    total = np.zeros((4, 4))
+    total = np.zeros((2, 2))
     for level in range(2, levels + 1):
         mk = 2**level
         side = tree.cell_side(level)
         radius = SQRT2 * tree.half_width(level)
         cell_budget = np.zeros(mk * mk)
-        for py in (0, 1):
-            for px in (0, 1):
-                dest, dix, diy = _parity_grid(level, px, py)
-                for dx, dy in _il_offsets(px, py):
-                    sx = dix + dx
-                    sy = diy + dy
-                    ok = (sx >= 0) & (sx < mk) & (sy >= 0) & (sy < mk)
-                    dist = np.hypot(dx, dy) * side
-                    rho = radius / (dist - radius)
-                    factor = truncation_bound(BoundParams(1.0, rho), p)
-                    cell_budget[dest[ok]] += amp[level][sy[ok] * mk + sx[ok]] * factor
-        if level == 2:
-            total = cell_budget.reshape(4, 4)
-        else:
-            total = cell_budget.reshape(mk, mk) + np.repeat(np.repeat(total, 2, axis=0), 2, axis=1)
+        for dx, dy, dest, src in _interaction_groups(level):
+            dist = np.hypot(dx, dy) * side
+            rho = radius / (dist - radius)
+            factor = truncation_bound(BoundParams(1.0, rho), p)
+            cell_budget[dest] += amp[level][src] * factor
+        total = cell_budget.reshape(mk, mk) + np.repeat(np.repeat(total, 2, axis=0), 2, axis=1)
 
     per_sorted = total.ravel()[tree.sorted_leaf]
     out = np.empty(len(gamma))
@@ -332,15 +330,16 @@ def bound_budgets(tree: Tree, gamma: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def evaluate(
+def _evaluate(
     particles: Sequence[Particle],
     config: FmmConfig,
-    domain: Domain | None = None,
-) -> tuple[np.ndarray, FmmRunStats]:
-    """Velocity induced at every particle position, with run statistics.
+    domain: Domain | None,
+    targets: np.ndarray | None = None,
+) -> tuple[np.ndarray, FmmRunStats, Tree]:
+    """The full pipeline evaluated at ``targets`` ((M, 2) positions), by
+    default at the particles themselves.
 
-    Returns an (N, 2) array of (u, v) rows in the original particle order.
-    When no domain is given, the smallest enclosing square is used.
+    Returns (u, v) rows in target order, the run statistics and the particle tree.
     """
     config.validate()
     if not particles:
@@ -356,6 +355,11 @@ def evaluate(
     z_sorted = (x + 1j * y)[tree.order]
     gamma_sorted = gamma[tree.order]
     sigma_sorted = sigma[tree.order]
+    if targets is None:
+        at, zt_sorted = tree, z_sorted
+    else:
+        at = _leaf_tree(targets[:, 0], targets[:, 1], config.levels, domain, "target")
+        zt_sorted = (targets[:, 0] + 1j * targets[:, 1])[at.order]
     stats.t_build = time.perf_counter() - t0
 
     if config.kernel is KernelKind.GAUSSIAN_BLOB:
@@ -366,7 +370,7 @@ def evaluate(
             warnings.warn(
                 f"max core radius {max_sigma:g} exceeds leaf half-width/2 = {guard:g}; "
                 "the far field treats blobs as point vortices, so expect extra error",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     t0 = time.perf_counter()
@@ -382,20 +386,33 @@ def evaluate(
     stats.t_downward = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    vel_sorted = expansions.f_to_velocity(far_field(tree, locals_, z_sorted))
+    vel_sorted = expansions.f_to_velocity(far_field(at, locals_, zt_sorted))
     stats.t_eval = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     near_vel, stats.near_pair_count = near_field(
-        tree, z_sorted, gamma_sorted, sigma_sorted, config.kernel
+        tree, z_sorted, gamma_sorted, sigma_sorted, config.kernel, at, zt_sorted
     )
     stats.t_near = time.perf_counter() - t0
 
     vel_sorted = vel_sorted + near_vel
     velocities = np.empty_like(vel_sorted)
-    velocities[tree.order] = vel_sorted
+    velocities[at.order] = vel_sorted
     stats.t_total = time.perf_counter() - t_start
-    return velocities, stats
+    return velocities, stats, tree
+
+
+def evaluate(
+    particles: Sequence[Particle],
+    config: FmmConfig,
+    domain: Domain | None = None,
+) -> tuple[np.ndarray, FmmRunStats]:
+    """Velocity induced at every particle position, with run statistics.
+
+    Returns an (N, 2) array of (u, v) rows in the original particle order.
+    When no domain is given, the smallest enclosing square is used.
+    """
+    return _evaluate(particles, config, domain)[:2]
 
 
 def evaluate_at(
@@ -405,56 +422,7 @@ def evaluate_at(
     domain: Domain | None = None,
 ) -> np.ndarray:
     """Velocity at arbitrary in-domain target points (not necessarily particles)."""
-    config.validate()
-    if domain is None:
-        domain = enclosing_domain(particles)
     pts = np.asarray(targets, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"targets must have shape (M, 2), got {pts.shape}")
-    inside = (
-        (pts[:, 0] >= domain.xmin)
-        & (pts[:, 0] <= domain.xmax)
-        & (pts[:, 1] >= domain.ymin)
-        & (pts[:, 1] <= domain.ymax)
-    )
-    if not inside.all():
-        raise OutOfDomainError(
-            f"{np.count_nonzero(~inside)} target(s) outside domain {domain}"
-        )
-
-    tree = build_tree(particles, config.levels, domain)
-    x, y, gamma, sigma = to_arrays(particles)
-    z_sorted = (x + 1j * y)[tree.order]
-    gamma_sorted = gamma[tree.order]
-    sigma_sorted = sigma[tree.order]
-    multipoles = upward_pass(tree, z_sorted, gamma_sorted, config.order)
-    locals_, _ = translate_pass(tree, multipoles, config.order)
-    downward_pass(tree, locals_)
-
-    m = 2**config.levels
-    ix, iy = grid_indices(pts[:, 0], pts[:, 1], m, domain)
-    target_leaf = iy * m + ix
-    zt = pts[:, 0] + 1j * pts[:, 1]
-
-    delta = zt - tree.centers(config.levels)[target_leaf]
-    coeffs = locals_[config.levels][target_leaf]
-    acc = coeffs[:, -1].copy()
-    for k in range(coeffs.shape[1] - 2, -1, -1):
-        acc = acc * delta + coeffs[:, k]
-    vel = expansions.f_to_velocity(acc)
-
-    for linear in np.unique(target_leaf):
-        sel = np.flatnonzero(target_leaf == linear)
-        ranges = _neighbor_ranges(tree, int(linear))
-        if not ranges:
-            continue
-        u, v = _pair_velocity(
-            zt[sel],
-            _gather(z_sorted, ranges),
-            _gather(gamma_sorted, ranges),
-            _gather(sigma_sorted, ranges),
-            config.kernel,
-        )
-        vel[sel, 0] += u
-        vel[sel, 1] += v
-    return vel
+    return _evaluate(particles, config, domain, pts)[0]

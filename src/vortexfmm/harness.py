@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import errors as errorlab
-from .engine import FmmConfig, bound_budgets, evaluate
+from .engine import FmmConfig, _evaluate, bound_budgets, evaluate
 from .kernels import KernelKind, velocity_direct
 from .model import (
     GENERATOR_ID,
@@ -39,12 +39,12 @@ from .model import (
     read_particles,
     to_arrays,
 )
-from .quadtree import build_tree
 
 SWEEP_HEADER = (
     "n,l,p,seed,distribution,kernel,max_abs,max_rel,rms_rel,bound_violations,"
     "sampled,t_fmm_ms,t_direct_ms,m2l_count,near_pair_count,generator_id"
 )
+_SWEEP_COLUMNS = SWEEP_HEADER.count(",") + 1
 TIMING_HEADER = "n,l,p,t_fmm_ms,t_direct_ms,direct_extrapolated"
 
 _KERNEL_TOKENS = {"point": KernelKind.POINT_VORTEX, "gaussian": KernelKind.GAUSSIAN_BLOB}
@@ -226,11 +226,11 @@ def run_case(
     if particles is None:
         particles = generate_particles(distribution, n, seed, domain, sigma)
     config = FmmConfig(levels=levels, order=p, kernel=kind)
-    velocities, stats = evaluate(particles, config, domain)
+    velocities, stats, tree = _evaluate(particles, config, domain)
 
     x, y, gamma, _ = to_arrays(particles)
     positions = np.stack((x, y), axis=1)
-    budgets = bound_budgets(build_tree(particles, levels, domain), gamma, p)
+    budgets = bound_budgets(tree, gamma, p)
 
     if oracle_mode == "sampled" and oracle_k is not None and oracle_k < n:
         rng = np.random.default_rng([seed, n, levels, p, 0x0F5EED])
@@ -387,18 +387,29 @@ def _meta_path(out_path: Path) -> Path:
     return out_path.with_name(out_path.name + ".meta.json")
 
 
-def _existing_rows(out_path: Path) -> set[tuple[int, int, int, int]]:
+def _existing_rows(out_path: Path) -> tuple[set[tuple[int, int, int, int]], int]:
+    """Keys of a sweep file's complete rows and the byte length of the file up to them.
+
+    Rows are read in order up to the first one that is not newline-terminated
+    with every column and integer keys, such as a row torn by a crash; it and
+    everything after it do not count as done.
+    """
     done = set()
-    with open(out_path) as fh:
-        header = fh.readline().strip()
-        if header != SWEEP_HEADER:
+    with open(out_path, "rb") as fh:
+        header = fh.readline()
+        if header.strip() != SWEEP_HEADER.encode() or not header.endswith(b"\n"):
             raise ConfigError(f"{out_path}: unexpected header, not a sweep file")
+        end = len(header)
         for line in fh:
-            parts = line.split(",", 4)
-            if len(parts) < 4:
-                continue
-            done.add((int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])))
-    return done
+            parts = line.split(b",")
+            if not line.endswith(b"\n") or len(parts) != _SWEEP_COLUMNS:
+                break
+            try:
+                done.add(tuple(int(v) for v in parts[:4]))
+            except ValueError:
+                break
+            end += len(line)
+    return done, end
 
 
 def run_sweep(
@@ -411,8 +422,9 @@ def run_sweep(
     """Execute the config's full grid, one CSV row per run, flushed as it goes.
 
     With ``resume``, tuples already present in the output are skipped and the
-    sidecar metadata must match the config exactly.  Returns the output path
-    and the number of newly computed rows.
+    sidecar metadata must match the config exactly; the file is first cut back
+    to its last complete row.  Returns the output path and the number of newly
+    computed rows.
     """
     out = Path(out_path) if out_path is not None else Path(config.out)
     meta_file = _meta_path(out)
@@ -427,7 +439,8 @@ def run_sweep(
                 f"cannot resume: config does not match {meta_file} "
                 f"(recorded {recorded}, requested {config.meta()})"
             )
-        done = _existing_rows(out)
+        done, end = _existing_rows(out)
+        os.truncate(out, end)
         mode = "a"
     else:
         mode = "w"
@@ -518,8 +531,9 @@ def timing_study(
 
     ``levels`` fixes the depth; otherwise it follows the occupancy policy.
     Direct timing is measured up to ``direct_cutoff`` particles and
-    extrapolated beyond it with a quadratic-plus-linear fit of the measured
-    points (flagged per row).  Runs strictly sequentially.
+    extrapolated beyond it as O(N^2) from the largest measured point,
+    t = t_max * (n / n_max)^2, which stays positive (flagged per row).  Runs
+    strictly sequentially.
     """
     kind = _KERNEL_TOKENS[kernel]
     rows: list[tuple[int, int, float, float | None]] = []
@@ -546,16 +560,13 @@ def timing_study(
 
     if not measured:
         raise ValueError("direct_cutoff excludes every requested n; nothing to extrapolate from")
-    ns = np.array([n for n, _ in measured], dtype=np.float64)
-    ts = np.array([t for _, t in measured])
-    design = np.stack((ns**2, ns), axis=1)
-    coef, *_ = np.linalg.lstsq(design, ts, rcond=None)
+    n_max, t_max = measured[-1]
 
     out_rows = []
     for n, lev, t_fmm, t_direct in rows:
         extrapolated = t_direct is None
         if extrapolated:
-            t_direct = float(coef[0] * n**2 + coef[1] * n)
+            t_direct = t_max * (n / n_max) ** 2
         out_rows.append(
             TimingRow(n, lev, p, t_fmm * 1e3, t_direct * 1e3, extrapolated)
         )

@@ -10,6 +10,7 @@ all-positive Gaussian patch, and a pair of opposite-sign patches).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -169,7 +170,8 @@ def read_particles(path) -> list[Particle]:
     """Read a particle CSV written by :func:`write_particles`.
 
     Raises :class:`ParticleFileError` naming the 1-based line of the first
-    malformed row; a file with only the header yields an empty list.
+    malformed row, including non-finite values and core radii ``sigma <= 0``;
+    a file with only the header yields an empty list.
     """
     particles: list[Particle] = []
     with open(path, newline="") as fh:
@@ -189,5 +191,9 @@ def read_particles(path) -> list[Particle]:
                 x, y, gamma, sigma = (float(v) for v in row)
             except ValueError as exc:
                 raise ParticleFileError(f"{path}:{lineno}: {exc}") from None
+            if not all(math.isfinite(v) for v in (x, y, gamma, sigma)):
+                raise ParticleFileError(f"{path}:{lineno}: non-finite value in {row!r}")
+            if not sigma > 0.0:
+                raise ParticleFileError(f"{path}:{lineno}: core radius sigma must be > 0, got {sigma}")
             particles.append(Particle(x, y, gamma, sigma))
     return particles

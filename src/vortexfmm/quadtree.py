@@ -108,9 +108,9 @@ def interaction_list(cell: CellId) -> list[CellId]:
 class Tree:
     """Uniform quadtree with per-level occupancy and a leaf particle index.
 
-    Geometry is immutable after :func:`build_tree`; all queries are read-only.
-    Particles are stored as a permutation sorted by row-major leaf index so
-    each leaf owns one contiguous slice.
+    Geometry is immutable after construction; all queries are read-only.
+    Particles (or evaluation targets) are stored as a permutation sorted by
+    row-major leaf index so each leaf owns one contiguous slice.
     """
 
     def __init__(self, domain: Domain, levels: int, leaf_linear: np.ndarray):
@@ -179,6 +179,22 @@ class Tree:
         return Cell(cell_id, center, self.half_width(level), indices)
 
 
+def _leaf_tree(x: np.ndarray, y: np.ndarray, levels: int, domain: Domain, what: str) -> Tree:
+    """Bin positions into the leaves of a ``levels``-deep tree over ``domain``;
+    any position outside the closed square raises :class:`OutOfDomainError`."""
+    inside = (
+        (x >= domain.xmin) & (x <= domain.xmax) & (y >= domain.ymin) & (y <= domain.ymax)
+    )
+    if not inside.all():
+        bad = np.flatnonzero(~inside)
+        raise OutOfDomainError(
+            f"{bad.size} {what}(s) outside domain {domain}, first indices {bad[:5].tolist()}"
+        )
+    m = 2**levels
+    ix, iy = grid_indices(x, y, m, domain)
+    return Tree(domain, levels, iy * m + ix)
+
+
 def build_tree(particles: Sequence[Particle], levels: int, domain: Domain) -> Tree:
     """Assign particles to leaves of a ``levels``-deep uniform quadtree.
 
@@ -188,14 +204,4 @@ def build_tree(particles: Sequence[Particle], levels: int, domain: Domain) -> Tr
     if levels < 2:
         raise ValueError(f"tree needs at least 2 levels, got {levels}")
     x, y, _, _ = to_arrays(particles)
-    inside = (
-        (x >= domain.xmin) & (x <= domain.xmax) & (y >= domain.ymin) & (y <= domain.ymax)
-    )
-    if not inside.all():
-        bad = np.flatnonzero(~inside)
-        raise OutOfDomainError(
-            f"{bad.size} particle(s) outside domain {domain}, first indices {bad[:5].tolist()}"
-        )
-    m = 2**levels
-    ix, iy = grid_indices(x, y, m, domain)
-    return Tree(domain, levels, iy * m + ix)
+    return _leaf_tree(x, y, levels, domain, "particle")

@@ -325,10 +325,13 @@ class TestEvaluateAt:
         assert np.abs(vel - direct).max() <= 1e-8 * np.abs(direct).max()
 
     def test_targets_on_particles_match_evaluate(self):
+        # both paths run one pipeline, so the results agree bit for bit
         particles = generate_particles("uniform_random", 120, 3)
-        vel_particles, _ = evaluate(particles, FmmConfig(3, 12), UNIT)
-        vel_targets = evaluate_at(positions_of(particles), particles, FmmConfig(3, 12), UNIT)
-        np.testing.assert_allclose(vel_targets, vel_particles, rtol=0, atol=1e-14)
+        for kind in KernelKind:
+            config = FmmConfig(3, 12, kind)
+            vel_particles, _ = evaluate(particles, config, UNIT)
+            vel_targets = evaluate_at(positions_of(particles), particles, config, UNIT)
+            assert np.array_equal(vel_targets, vel_particles), kind
 
     def test_rejects_out_of_domain_targets(self):
         particles = generate_particles("uniform_random", 20, 3)
@@ -336,6 +339,17 @@ class TestEvaluateAt:
 
         with pytest.raises(OutOfDomainError):
             evaluate_at([(1.5, 0.5)], particles, FmmConfig(2, 4), UNIT)
+
+    def test_sigma_guard_warns(self):
+        particles = generate_particles("uniform_random", 50, 1, UNIT, sigma=0.2)
+        config = FmmConfig(3, 4, KernelKind.GAUSSIAN_BLOB)
+        with pytest.warns(UserWarning, match="core radius"):
+            evaluate_at([(0.5, 0.5)], particles, config, UNIT)
+
+    @pytest.mark.parametrize("domain", [UNIT, None])
+    def test_rejects_empty_particles(self, domain):
+        with pytest.raises(ValueError, match="need at least one particle"):
+            evaluate_at([(0.5, 0.5)], [], FmmConfig(2, 4), domain)
 
 
 class TestFullBudgetRun:

@@ -1,8 +1,10 @@
 import json
+import time
 
+import numpy as np
 import pytest
 
-from vortexfmm import cli
+from vortexfmm import cli, harness
 from vortexfmm.harness import (
     SWEEP_HEADER,
     ConfigError,
@@ -112,6 +114,22 @@ class TestRunSweep:
         resumed = out2.read_text().splitlines()
         assert sans_timings(resumed) == sans_timings(full)
 
+    def test_resume_recomputes_torn_final_row(self, tmp_path):
+        def metrics(text):
+            rows = [line.split(",") for line in text.splitlines()]
+            return [cells[:11] + cells[13:] for cells in rows]  # drop the two timing columns
+
+        cfg = parse_sweep_config(write_cfg(tmp_path))
+        out, _ = run_sweep(cfg)
+        clean = out.read_text()
+        last = clean.splitlines()[-1]
+        cells = last.split(",")
+        torn = ",".join(cells[:6] + [cells[6][:3]])  # cut mid-way through max_abs
+        out.write_text(clean[: len(clean) - len(last) - 1] + torn)
+        _, computed = run_sweep(cfg, resume=True)
+        assert computed == 1
+        assert metrics(out.read_text()) == metrics(clean)
+
     def test_resume_refuses_mismatched_config(self, tmp_path):
         cfg = parse_sweep_config(write_cfg(tmp_path))
         run_sweep(cfg)
@@ -209,6 +227,16 @@ class TestTiming:
         assert text[0] == "n,l,p,t_fmm_ms,t_direct_ms,direct_extrapolated"
         assert len(text) == 4
 
+    def test_extrapolated_direct_time_positive_for_flat_measurements(self, monkeypatch):
+        def constant_cost(positions, particles, kind):
+            time.sleep(0.002)
+            return np.zeros((len(positions), 2))
+
+        monkeypatch.setattr(harness, "velocity_direct", constant_cost)
+        rows = timing_study([64, 128, 256, 512], p=3, levels=2, repeats=1, direct_cutoff=128)
+        assert [r.direct_extrapolated for r in rows] == [False, False, True, True]
+        assert all(r.t_direct_ms > 0 for r in rows)
+
     def test_occupancy_policy(self):
         assert occupancy_levels(256, 8) == 3
         assert occupancy_levels(512, 8) == 3
@@ -244,6 +272,13 @@ class TestCli:
         assert (tmp_path / "velocities.csv").exists()
         assert (tmp_path / "error_report.csv").exists()
         assert (tmp_path / "error_map.csv").exists()
+
+    def test_bad_particle_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "pts.csv"
+        path.write_text("x,y,gamma,sigma\n0.1,0.2,nan,0.01\n0.5,0.5,0.3,0.01\n")
+        rc = cli.main(["single", "--particles", str(path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert ":2:" in capsys.readouterr().err
 
     def test_usage_error_exit_2(self, tmp_path, capsys):
         rc = cli.main(["single", "--n", "50", "--levels", "1", "--out-dir", str(tmp_path)])

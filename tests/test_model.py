@@ -121,6 +121,22 @@ def test_wrong_field_count_names_line(tmp_path):
         read_particles(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_field_names_line(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,y,gamma,sigma\n0.1,0.2,0.3,0.01\n0.5,0.5,{value},0.01\n")
+    with pytest.raises(ParticleFileError, match=r":3: non-finite"):
+        read_particles(path)
+
+
+@pytest.mark.parametrize("sigma", ["0", "-0.01"])
+def test_nonpositive_sigma_names_line(tmp_path, sigma):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,y,gamma,sigma\n0.1,0.2,0.3,{sigma}\n")
+    with pytest.raises(ParticleFileError, match=r":2: core radius"):
+        read_particles(path)
+
+
 def test_missing_header_is_format_error(tmp_path):
     path = tmp_path / "noheader.csv"
     path.write_text("0.1,0.2,0.3,0.01\n")
