@@ -12,6 +12,10 @@ Passes, in order:
    leaf's own and adjacent cells.  The regularized kernel acts only here; the
    far field always sees point vortices, which is why particle cores must
    stay small next to the leaf size (warned about at sigma > half_width / 2).
+   The direct sum runs without a per-leaf loop: targets whose neighbourhoods
+   hold the same number of sources form (targets x sources) blocks, and each
+   target's row keeps the canonical source order and is reduced on its own,
+   so the velocities are bit for bit those of a per-target sum.
 
 ``evaluate`` runs this one pipeline with the particles themselves as targets;
 ``evaluate_at`` runs the same pipeline at arbitrary targets binned into leaves.
@@ -34,7 +38,7 @@ import numpy as np
 
 from . import expansions
 from .expansions import BoundParams, truncation_bound
-from .kernels import TWO_PI, KernelKind
+from .kernels import _BLOCK, TWO_PI, KernelKind
 from .model import Domain, Particle, enclosing_domain, to_arrays
 from .quadtree import Tree, _leaf_tree, build_tree
 
@@ -212,47 +216,30 @@ def far_field(tree: Tree, locals_: list, z_sorted: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _neighbor_ranges(tree: Tree, linear: int) -> list[tuple[int, int]]:
-    """Sorted-permutation ranges covering a leaf's 3x3 neighborhood, row-major.
-
-    Adjacent cells of one neighborhood row are consecutive in the row-major
-    cell order, so each row is a single contiguous slice of the sorted
-    particle permutation; slice concatenation order equals per-cell row-major
-    iteration bit for bit.
-    """
-    m = 2**tree.levels
-    cy, cx = divmod(linear, m)
-    x_lo = max(cx - 1, 0)
-    x_hi = min(cx + 1, m - 1)
-    ranges = []
-    for ny in (cy - 1, cy, cy + 1):
-        if 0 <= ny < m:
-            lo = tree.leaf_starts[ny * m + x_lo]
-            hi = tree.leaf_starts[ny * m + x_hi + 1]
-            if hi > lo:
-                ranges.append((lo, hi))
-    return ranges
-
-
-def _gather(array: np.ndarray, ranges: list[tuple[int, int]]) -> np.ndarray:
-    if len(ranges) == 1:
-        lo, hi = ranges[0]
-        return array[lo:hi]
-    return np.concatenate([array[lo:hi] for lo, hi in ranges])
-
-
 def _pair_velocity(
-    zt: np.ndarray, zs: np.ndarray, gamma_s: np.ndarray, sigma_s: np.ndarray, kind: KernelKind
+    xt: np.ndarray,
+    yt: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    gamma_s: np.ndarray,
+    sigma_s: np.ndarray | None,
+    kind: KernelKind,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-target (u, v) sums over a block of sources, kernel_eval arithmetic."""
-    dx = zt.real[:, None] - zs.real[None, :]
-    dy = zt.imag[:, None] - zs.imag[None, :]
+    """Per-target (u, v) sums over each target's row of sources, kernel_eval arithmetic.
+
+    Targets ``xt``, ``yt`` are (t, 1) columns; the sources (``sigma_s`` for
+    the blob kernel only) are (t, n) rows.  numpy reduces each row of a
+    C-contiguous array on its own, so a row's sum depends only on its values
+    and their order, never on the other rows of the block.
+    """
+    dx = xt - xs
+    dy = yt - ys
     r2 = dx * dx + dy * dy
     mask = r2 > 0.0
     c = np.zeros_like(r2)
-    np.divide(gamma_s[None, :], TWO_PI * r2, out=c, where=mask)
+    np.divide(gamma_s, TWO_PI * r2, out=c, where=mask)
     if kind is KernelKind.GAUSSIAN_BLOB:
-        c = c * (1.0 - np.exp(-r2 / (2.0 * sigma_s * sigma_s)[None, :]))
+        c = c * (1.0 - np.exp(-r2 / (2.0 * sigma_s * sigma_s)))
     return (-c * dy).sum(axis=1), (c * dx).sum(axis=1)
 
 
@@ -271,24 +258,61 @@ def near_field(
     ``zt_sorted`` are given.  Exact self-terms are excluded by the
     coincident-point convention.  Returns velocities in sorted target order
     plus the ordered pair count; a particle is never its own pair.
+
+    Every target sums its sources in one canonical order: neighbourhood rows
+    y-1, y, y+1, ascending sorted index within a row.  Adjacent cells of one
+    row are consecutive in the row-major leaf order, so each row is one slice
+    of the sorted particles.  Target leaves are grouped by their source count
+    n; each target becomes one row of a (targets x n) block of about
+    ``_BLOCK`` pairs, summed on its own.  The result is therefore bit for bit
+    that of summing every target's sources separately, whatever the blocking.
     """
     if targets is None:
         targets, zt_sorted = tree, z_sorted
+    m = 2**tree.levels
+    leaves = np.flatnonzero(targets.nonempty(tree.levels))
+    per_leaf = targets.counts[tree.levels][leaves]
+    cy, cx = np.divmod(leaves, m)
+    ny = cy[:, None] + np.arange(-1, 2)
+    row = np.clip(ny, 0, m - 1) * m
+    starts = tree.leaf_starts[row + np.maximum(cx - 1, 0)[:, None]]
+    ends = tree.leaf_starts[row + np.minimum(cx + 1, m - 1)[:, None] + 1]
+    lengths = np.where((ny >= 0) & (ny < m), ends - starts, 0)
+    # position k of a leaf's source row falls in neighbourhood row 0, 1 or 2
+    # as it passes the cumulative lengths; offset maps it into that slice
+    cum = np.cumsum(lengths, axis=1)
+    offset = starts - (cum - lengths)
+    sizes = cum[:, 2]
+
     vel = np.zeros((len(zt_sorted), 2))
-    pairs = -len(z_sorted) if targets is tree else 0
+    pairs = int(per_leaf @ sizes) - (len(z_sorted) if targets is tree else 0)
+    xs_all, ys_all, xt_all, yt_all = z_sorted.real, z_sorted.imag, zt_sorted.real, zt_sorted.imag
     blob = kind is KernelKind.GAUSSIAN_BLOB
-    for linear in np.flatnonzero(targets.nonempty(tree.levels)):
-        lo, hi = targets.leaf_starts[linear], targets.leaf_starts[linear + 1]
-        ranges = _neighbor_ranges(tree, linear)
-        if not ranges:
+    by_size = np.argsort(sizes, kind="stable")
+    # every target, leaf by leaf in by_size order, with its leaf's position
+    # there: targets of one leaf are consecutive and share its source row
+    q = per_leaf[by_size]
+    q_end = np.cumsum(q)
+    leaf_pos = np.repeat(np.arange(len(by_size)), q)
+    target = np.arange(len(leaf_pos)) + np.repeat(targets.leaf_starts[leaves[by_size]] - (q_end - q), q)
+    edges = np.flatnonzero(np.diff(sizes[by_size], prepend=-1, append=-1))
+    for a, b in zip(edges[:-1], edges[1:]):
+        group = by_size[a:b]
+        n = sizes[group[0]]
+        if n == 0:
             continue
-        zs = _gather(z_sorted, ranges)
-        gs = _gather(gamma_sorted, ranges)
-        ss = _gather(sigma_sorted, ranges) if blob else sigma_sorted[:0]
-        u, v = _pair_velocity(zt_sorted[lo:hi], zs, gs, ss, kind)
-        vel[lo:hi, 0] = u
-        vel[lo:hi, 1] = v
-        pairs += (hi - lo) * zs.size
+        k = np.arange(n)
+        seg = (k >= cum[group, 0:1]).astype(np.intp) + (k >= cum[group, 1:2])
+        src = k + np.take_along_axis(offset[group], seg, axis=1)
+        xs, ys, gs = xs_all[src], ys_all[src], gamma_sorted[src]
+        ss = sigma_sorted[src] if blob else None
+        step = max(1, _BLOCK // n)
+        for lo in range(q_end[a] - q[a], q_end[b - 1], step):
+            hi = min(lo + step, q_end[b - 1])
+            r, t = leaf_pos[lo:hi] - a, target[lo:hi]
+            vel[t, 0], vel[t, 1] = _pair_velocity(
+                xt_all[t, None], yt_all[t, None], xs[r], ys[r], gs[r], None if ss is None else ss[r], kind
+            )
     return vel, pairs
 
 
@@ -344,14 +368,18 @@ def _evaluate(
     config.validate()
     if not particles:
         raise ValueError("need at least one particle")
-    if domain is None:
-        domain = enclosing_domain(particles)
     stats = FmmRunStats(n=len(particles), levels=config.levels, order=config.order)
     t_start = time.perf_counter()
 
     t0 = time.perf_counter()
-    tree = build_tree(particles, config.levels, domain)
     x, y, gamma, sigma = to_arrays(particles)
+    valid = np.isfinite(x) & np.isfinite(y) & np.isfinite(gamma) & np.isfinite(sigma) & (sigma > 0.0)
+    if not valid.all():
+        i = int(np.argmin(valid))
+        raise ValueError(f"particle {i}: need finite x, y, gamma and core radius sigma > 0, got {particles[i]}")
+    if domain is None:
+        domain = enclosing_domain(particles)
+    tree = build_tree(particles, config.levels, domain)
     z_sorted = (x + 1j * y)[tree.order]
     gamma_sorted = gamma[tree.order]
     sigma_sorted = sigma[tree.order]

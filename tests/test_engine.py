@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,38 @@ def sorted_arrays(particles, tree):
 
 def linear_id(cell: CellId) -> int:
     return cell.iy * 2**cell.level + cell.ix
+
+
+def canonical_near(tree, z, g, s, kind, target_tree=None, zt=None):
+    """Per-target near-field reference: the 3x3 leaf block's sources in
+    canonical order (row-major leaves, ascending sorted index within), each
+    target's terms summed as its own 1-D array.  Returns (vel, pairs, sizes)."""
+    if target_tree is None:
+        target_tree, zt, pairs = tree, z, -len(z)
+    else:
+        pairs = 0
+    m = 2**tree.levels
+    src_x, src_y = tree.sorted_leaf % m, tree.sorted_leaf // m
+    vel = np.zeros((len(zt), 2))
+    sizes = np.zeros(len(zt), dtype=np.int64)
+    for i, leaf in enumerate(target_tree.sorted_leaf):
+        adjacent = np.flatnonzero((np.abs(src_x - leaf % m) <= 1) & (np.abs(src_y - leaf // m) <= 1))
+        src = adjacent[np.lexsort((adjacent, src_x[adjacent], src_y[adjacent]))]
+        sizes[i] = len(src)
+        dx = zt[i].real - z[src].real
+        dy = zt[i].imag - z[src].imag
+        r2 = dx * dx + dy * dy
+        c = np.zeros_like(r2)
+        np.divide(g[src], TWO_PI * r2, out=c, where=r2 > 0)
+        if kind is KernelKind.GAUSSIAN_BLOB:
+            c = c * (1.0 - np.exp(-r2 / (2.0 * s[src] * s[src])))
+        vel[i] = (-c * dy).sum(), (c * dx).sum()
+    return vel, pairs + int(sizes.sum()), sizes
+
+
+#: one particle in each corner leaf (max edges clamp inward)
+CORNERS = [Particle(0.0, 0.0, 0.5, 0.005), Particle(1.0, 1.0, -0.5, 0.005),
+           Particle(1.0, 0.0, 0.3, 0.005), Particle(0.0, 1.0, -0.2, 0.005)]
 
 
 class TestConfig:
@@ -236,6 +269,39 @@ class TestNearField:
             assert vel[i, 0] == (-c * dy).sum() and vel[i, 1] == (c * dx).sum()
         assert pairs == expected_pairs
 
+    # source rows shorter than numpy's 8-way unrolled sum, between it and its
+    # 128-element pairwise block, and longer than one block
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize(
+        "n, levels, lo, hi", [(28, 3, 1, 7), (600, 3, 8, 128), (1500, 2, 129, None)]
+    )
+    def test_bitwise_canonical_order_across_summation_blocks(self, kind, n, levels, lo, hi):
+        particles = generate_particles("uniform_random", n, 2) + CORNERS
+        tree = build_tree(particles, levels, UNIT)
+        z, g, s = sorted_arrays(particles, tree)
+        vel, pairs = near_field(tree, z, g, s, kind)
+        expected, expected_pairs, sizes = canonical_near(tree, z, g, s, kind)
+        assert sizes.min() >= lo and (hi is None or sizes.max() <= hi)
+        assert np.array_equal(vel, expected)
+        assert pairs == expected_pairs
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_bitwise_external_targets_with_empty_neighborhoods(self, kind):
+        # sources in the lower-left quarter only: most target leaves see none
+        particles = generate_particles("uniform_random", 70, 3, Domain(0.0, 0.0, 0.3)) + CORNERS[:1]
+        tree = build_tree(particles, 4, UNIT)
+        z, g, s = sorted_arrays(particles, tree)
+        gx, gy = np.meshgrid(np.linspace(0.0, 1.0, 23), np.linspace(0.0, 1.0, 23))
+        probes = [Particle(x, y, 0.0, 1.0) for x, y in zip(gx.ravel(), gy.ravel())]
+        targets = build_tree(probes, 4, UNIT)
+        zt = sorted_arrays(probes, targets)[0]
+        vel, pairs = near_field(tree, z, g, s, kind, targets, zt)
+        expected, expected_pairs, sizes = canonical_near(tree, z, g, s, kind, targets, zt)
+        assert (sizes == 0).any() and sizes.max() > 8
+        assert np.all(vel[sizes == 0] == 0.0)
+        assert np.array_equal(vel, expected)
+        assert pairs == expected_pairs
+
 
 class TestEvaluate:
     def test_single_particle_sees_no_velocity(self):
@@ -296,6 +362,21 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate([], FmmConfig(3, 4), UNIT)
 
+    @pytest.mark.parametrize(
+        "field, value, kind, domain",
+        [
+            ("gamma", math.nan, POINT, UNIT),
+            ("sigma", 0.0, KernelKind.GAUSSIAN_BLOB, UNIT),
+            ("sigma", -0.01, POINT, UNIT),
+            ("x", math.inf, POINT, None),
+        ],
+    )
+    def test_rejects_bad_particle_naming_its_index(self, field, value, kind, domain):
+        particles = generate_particles("uniform_random", 201, 6)
+        particles[7] = dataclasses.replace(particles[7], **{field: value})
+        with pytest.raises(ValueError, match="particle 7:"):
+            evaluate(particles, FmmConfig(3, 6, kind), domain)
+
 
 class TestBoundBudgets:
     def test_full_run_has_no_violations(self):
@@ -345,6 +426,12 @@ class TestEvaluateAt:
         config = FmmConfig(3, 4, KernelKind.GAUSSIAN_BLOB)
         with pytest.warns(UserWarning, match="core radius"):
             evaluate_at([(0.5, 0.5)], particles, config, UNIT)
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_no_targets_gives_empty_result(self, kind):
+        particles = generate_particles("uniform_random", 50, 1)
+        vel = evaluate_at(np.zeros((0, 2)), particles, FmmConfig(3, 5, kind), UNIT)
+        assert vel.shape == (0, 2)
 
     @pytest.mark.parametrize("domain", [UNIT, None])
     def test_rejects_empty_particles(self, domain):

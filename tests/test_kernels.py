@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import positions_of, random_particles
-from vortexfmm.kernels import ComplexVelocity, KernelKind, kernel_eval, velocity_direct
+from vortexfmm.kernels import _BLOCK, ComplexVelocity, KernelKind, kernel_eval, velocity_direct
 from vortexfmm.model import Particle, generate_particles
 
 POINT = KernelKind.POINT_VORTEX
@@ -59,6 +59,43 @@ def test_matches_scalar_double_loop_bit_for_bit():
             u += du
             v += dv
         assert vel[i, 0] == u and vel[i, 1] == v
+
+
+def scalar_direct(targets, sources, kind):
+    """Scalar double loop, sources in ascending order.  The point kernel is
+    kernel_eval itself; the blob kernel is kernel_eval's arithmetic with
+    numpy's exp, which velocity_direct uses (math.exp differs from it in the
+    last bit for a few percent of arguments)."""
+    out = np.zeros((len(targets), 2))
+    for i, (tx, ty) in enumerate(targets.tolist()):
+        u = v = 0.0
+        for src in sources:
+            if kind is POINT:
+                du, dv = kernel_eval((tx, ty), src, POINT)
+            else:
+                dx, dy = tx - src.x, ty - src.y
+                r2 = dx * dx + dy * dy
+                c = 0.0 if r2 == 0.0 else src.gamma / (TWO_PI * r2)
+                c = c * (1.0 - np.exp(-r2 / (2.0 * src.sigma * src.sigma)))
+                du, dv = -c * dy, c * dx
+            u += du
+            v += dv
+        out[i] = u, v
+    return out
+
+
+# (targets, sources): one target over a partial second block; a few targets
+# over several blocks; the last sizes with two sources per block and the
+# first with one; more targets than a block holds
+@pytest.mark.parametrize("kind", [POINT, BLOB])
+@pytest.mark.parametrize(
+    "m, n", [(1, _BLOCK + 5), (37, 500), (_BLOCK // 2, 5), (_BLOCK // 2 + 1, 3), (_BLOCK + 1, 2)]
+)
+def test_blocked_oracle_matches_scalar_double_loop_bit_for_bit(kind, m, n):
+    sources = generate_particles("uniform_random", n, 9, sigma=0.05)
+    targets = np.random.default_rng(m).uniform(size=(m, 2))
+    targets[0] = sources[-1].x, sources[-1].y  # a coincident pair
+    assert np.array_equal(velocity_direct(targets, sources, kind), scalar_direct(targets, sources, kind))
 
 
 def test_self_targets_are_finite():
