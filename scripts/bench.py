@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Layer ladder: per-phase timings of ``evaluate`` and the direct oracle, written to BENCH_<label>.json.
 
-    python3 scripts/bench.py LABEL [--repeats 5] [--base DIR] [--perfbench-seconds S --seeds 2 3]
+    python3 scripts/bench.py LABEL [--base DIR] [--perfbench]
 
 For N = 4096, 16384, 65536 and 131072 uniform particles, at the occupancy
 depth (8 particles per leaf), order 8 and both kernels, it records the median
-over ``--repeats`` of every ``FmmRunStats`` phase time, plus the median
+over ``REPEATS`` of every ``FmmRunStats`` phase time, plus the median
 ``velocity_direct`` time of 512 targets against the same N sources.  Every
 repeat runs in a fresh interpreter with one BLAS thread.
 
@@ -13,9 +13,10 @@ repeat runs in a fresh interpreter with one BLAS thread.
 ``git clone`` at the parent commit).  Both checkouts are then
 measured, each repeat alternating which goes first so that slow drift of the
 machine hits both alike, and the file holds them side by side with the
-base/head ratio of every median.  ``--perfbench-seconds`` also runs each
-checkout's ``perfbench/run.py`` (untraced) on both benchmark workloads for
-every ``--seeds`` value, alternating likewise, and keeps the result lines.
+base/head ratio of every median.  ``--perfbench`` also runs each checkout's
+``perfbench/run.py`` (untraced, for BENCHMARK.json's ``run_seconds``) on both
+benchmark workloads for every seed in ``PERFBENCH_SEEDS``, alternating
+likewise, and keeps the result lines.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ DIRECT_TARGETS = 512
 #: below the sigma guard (leaf half-width / 2) at every depth of the ladder
 SIGMA = 0.001
 SEED = 1
+REPEATS = 5
+#: ten alternating pairs of runs per workload
+PERFBENCH_SEEDS = tuple(range(1, 11))
 PHASES = ("t_build", "t_upward", "t_m2l", "t_downward", "t_eval", "t_near", "t_total")
 KERNELS = ("point_vortex", "gaussian_blob")
 WORKLOADS = ("study_sweep", "field_probe")
@@ -127,21 +131,20 @@ def _machine() -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label")
-    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--base", type=Path, help="second checkout measured alongside this one")
-    parser.add_argument("--perfbench-seconds", type=float, help="also run perfbench/run.py this long per run")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[2, 3], help="perfbench seeds")
+    parser.add_argument("--perfbench", action="store_true", help="also run perfbench/run.py on both workloads")
     args = parser.parse_args()
 
     sides = {"head": ROOT}
     if args.base is not None:
         sides["base"] = args.base.resolve()
     order = list(sides)
+    commits = {side: _commit(path) for side, path in sides.items()}
     runs: dict[str, list] = {side: [] for side in sides}
-    for r in range(args.repeats):
+    for r in range(REPEATS):
         for side in order if r % 2 == 0 else order[::-1]:
             runs[side].append(_repeat(sides[side]))
-            print(f"repeat {r + 1}/{args.repeats} {side} done", file=sys.stderr, flush=True)
+            print(f"repeat {r + 1}/{REPEATS} {side} done", file=sys.stderr, flush=True)
 
     report: dict = {
         "label": args.label,
@@ -154,10 +157,10 @@ def main() -> int:
             "order": ORDER,
             "sigma": SIGMA,
             "direct_targets": DIRECT_TARGETS,
-            "repeats": args.repeats,
+            "repeats": REPEATS,
             "statistic": "median over repeats, seconds",
         },
-        "checkouts": {side: {"commit": _commit(path), "median": _medians(runs[side])} for side, path in sides.items()},
+        "checkouts": {side: {"commit": commits[side], "median": _medians(runs[side])} for side in sides},
     }
     if "base" in sides:
         head, base = (report["checkouts"][s]["median"] for s in ("head", "base"))
@@ -165,13 +168,14 @@ def main() -> int:
             key: {f: base[key][f] / head[key][f] for f in head[key] if f != "levels" and head[key][f] > 0}
             for key in head
         }
-    if args.perfbench_seconds:
+    if args.perfbench:
+        seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
         lines: dict[str, list] = {side: [] for side in sides}
-        for i, (seed, workload) in enumerate((s, w) for s in args.seeds for w in WORKLOADS):
+        for i, (seed, workload) in enumerate((s, w) for s in PERFBENCH_SEEDS for w in WORKLOADS):
             for side in order if i % 2 == 0 else order[::-1]:
-                lines[side].append(_perfbench(sides[side], workload, seed, args.perfbench_seconds))
+                lines[side].append(_perfbench(sides[side], workload, seed, seconds))
                 print(f"perfbench {workload} seed {seed} {side} done", file=sys.stderr, flush=True)
-        report["perfbench"] = {"seconds": args.perfbench_seconds, **lines}
+        report["perfbench"] = {"seconds": seconds, **lines}
 
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")

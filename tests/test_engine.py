@@ -18,7 +18,7 @@ from vortexfmm.engine import (
 )
 from vortexfmm.errors import bound_check, compare
 from vortexfmm.expansions import BoundParams, Expansion, eval_local, eval_multipole, truncation_bound
-from vortexfmm.kernels import TWO_PI, KernelKind, kernel_eval, velocity_direct
+from vortexfmm.kernels import _BLOCK, TWO_PI, KernelKind, kernel_eval, velocity_direct
 from vortexfmm.model import Domain, Particle, generate_particles, to_arrays
 from vortexfmm.quadtree import CellId, build_tree, interaction_list, neighbors
 
@@ -249,24 +249,9 @@ class TestNearField:
         tree = build_tree(particles, 3, UNIT)
         z, g, s = sorted_arrays(particles, tree)
         vel, pairs = near_field(tree, z, g, s, POINT)
-
-        m = 8
-        leaf_xy = np.stack((tree.sorted_leaf % m, tree.sorted_leaf // m), axis=1)
-        expected_pairs = 0
+        expected, expected_pairs, _ = canonical_near(tree, z, g, s, POINT)
         for i in range(len(particles)):
-            adjacent = np.flatnonzero(
-                (np.abs(leaf_xy[:, 0] - leaf_xy[i, 0]) <= 1)
-                & (np.abs(leaf_xy[:, 1] - leaf_xy[i, 1]) <= 1)
-            )
-            order = np.lexsort((adjacent, leaf_xy[adjacent, 0], leaf_xy[adjacent, 1]))
-            src = adjacent[order]
-            expected_pairs += len(src) - 1
-            dx = z[i].real - z[src].real
-            dy = z[i].imag - z[src].imag
-            r2 = dx * dx + dy * dy
-            c = np.zeros_like(r2)
-            np.divide(g[src], TWO_PI * r2, out=c, where=r2 > 0)
-            assert vel[i, 0] == (-c * dy).sum() and vel[i, 1] == (c * dx).sum()
+            assert vel[i, 0] == expected[i, 0] and vel[i, 1] == expected[i, 1]
         assert pairs == expected_pairs
 
     # source rows shorter than numpy's 8-way unrolled sum, between it and its
@@ -299,6 +284,20 @@ class TestNearField:
         expected, expected_pairs, sizes = canonical_near(tree, z, g, s, kind, targets, zt)
         assert (sizes == 0).any() and sizes.max() > 8
         assert np.all(vel[sizes == 0] == 0.0)
+        assert np.array_equal(vel, expected)
+        assert pairs == expected_pairs
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_bitwise_targets_with_more_sources_than_a_chunk(self, kind):
+        particles = generate_particles("uniform_random", 16000, 4, sigma=0.001)
+        tree = build_tree(particles, 2, UNIT)
+        z, g, s = sorted_arrays(particles, tree)
+        probes = [Particle(x, y, 0.0, 1.0) for x, y in np.random.default_rng(5).random((30, 2))] + CORNERS
+        targets = build_tree(probes, 2, UNIT)
+        zt = sorted_arrays(probes, targets)[0]
+        vel, pairs = near_field(tree, z, g, s, kind, targets, zt)
+        expected, expected_pairs, sizes = canonical_near(tree, z, g, s, kind, targets, zt)
+        assert sizes.max() > _BLOCK
         assert np.array_equal(vel, expected)
         assert pairs == expected_pairs
 
