@@ -20,11 +20,16 @@ Passes, in order:
 ``evaluate`` runs this one pipeline with the particles themselves as targets;
 ``evaluate_at`` runs the same pipeline at arbitrary targets binned into leaves.
 
-Translations are grouped by index offset: at a fixed level every pair at the
-same (dx, dy) shares one translation matrix, so each group is a single matrix
-product over the stacked source coefficients.  Per destination the groups
-apply in row-major source order, which pins the floating-point accumulation
-order and makes results bitwise reproducible.
+Translations are grouped by index offset: a cell's interaction list is the
+children of its parent's neighbors minus its own neighbors, which spans 40
+offsets (dx, dy), and at a fixed level every pair at the same offset shares
+one translation matrix.  So each of the 40 groups builds its matrix once and
+is a single matrix product over the stacked source coefficients.  Per
+destination the groups apply in row-major offset order, which pins the
+floating-point accumulation order and makes results bitwise reproducible.
+Regrouping the destinations (as from four parity classes to one group per
+offset) can still move last bits: BLAS rounds each row of a product
+according to the batch it is computed in.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import numpy as np
 
 from . import expansions
 from .expansions import BoundParams, truncation_bound
-from .kernels import _BLOCK, TWO_PI, KernelKind
+from .kernels import _BLOCK, KernelKind, _pair_velocity
 from .model import Domain, Particle, enclosing_domain, to_arrays
 from .quadtree import Tree, _leaf_tree, build_tree
 
@@ -81,39 +86,28 @@ class FmmRunStats:
     sigma_guard_ok: bool = True
 
 
-def _il_offsets(px: int, py: int) -> list[tuple[int, int]]:
-    """Interaction-list index offsets for destination parity (px, py), row-major.
-
-    Children of the parent's neighbors span dx in [-2-px, 3-px] and dy in
-    [-2-py, 3-py]; dropping the 3x3 near block leaves the 27 translation
-    offsets of that parity class.
-    """
-    out = []
-    for dy in range(-2 - py, 4 - py):
-        for dx in range(-2 - px, 4 - px):
-            if max(abs(dx), abs(dy)) >= 2:
-                out.append((dx, dy))
-    return out
-
-
 def _interaction_groups(level: int):
     """Yield ``(dx, dy, dest_ids, src_ids)`` for every interaction-list offset at ``level``.
 
-    Fixed order: destination parity class, then row-major offset.  Each group
-    holds the row-major cells of that parity whose source at (dx, dy) is in
-    bounds; empty sources are not filtered.
+    A cell's interaction list is the children of its parent's neighbors minus
+    its own neighbors: the cells at offsets (dx, dy) in [-3, 3]^2 with
+    max(|dx|, |dy|) >= 2 whose parent is adjacent to the cell's parent.  Each
+    of the 40 offsets is one group, in row-major order, holding every
+    row-major cell whose source at that offset is in bounds and in its list;
+    empty sources are not filtered.  A cell thus meets its 27 (fewer at the
+    edges) offsets in row-major order whichever group it shares.
     """
     m = 2**level
-    for py in (0, 1):
-        for px in (0, 1):
-            GX, GY = np.meshgrid(np.arange(px, m, 2), np.arange(py, m, 2))
-            dix, diy = GX.ravel(), GY.ravel()
-            dest = diy * m + dix
-            for dx, dy in _il_offsets(px, py):
-                sx = dix + dx
-                sy = diy + dy
-                ok = (sx >= 0) & (sx < m) & (sy >= 0) & (sy < m)
-                yield dx, dy, dest[ok], sy[ok] * m + sx[ok]
+    dest = np.arange(m * m)
+    iy, ix = np.divmod(dest, m)
+    for dy in range(-3, 4):
+        for dx in range(-3, 4):
+            if max(abs(dx), abs(dy)) < 2:
+                continue
+            sx, sy = ix + dx, iy + dy
+            ok = (sx >= 0) & (sx < m) & (sy >= 0) & (sy < m)
+            ok &= (np.abs(sx // 2 - ix // 2) <= 1) & (np.abs(sy // 2 - iy // 2) <= 1)
+            yield dx, dy, dest[ok], sy[ok] * m + sx[ok]
 
 
 def _quadrant_groups(level: int):
@@ -214,31 +208,6 @@ def far_field(tree: Tree, locals_: list, z_sorted: np.ndarray) -> np.ndarray:
     for k in range(coeffs.shape[1] - 2, -1, -1):
         acc = acc * delta + coeffs[:, k]
     return acc
-
-
-def _pair_velocity(
-    xt: np.ndarray,
-    yt: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    gamma_s: np.ndarray,
-    sigma_s: np.ndarray | None,
-    kind: KernelKind,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) terms of target-source pairs, kernel_eval arithmetic.
-
-    Every argument holds one entry per pair (``sigma_s`` for the blob kernel
-    only); a coincident pair gives zero terms.
-    """
-    dx = xt - xs
-    dy = yt - ys
-    r2 = dx * dx + dy * dy
-    mask = r2 > 0.0
-    c = np.zeros_like(r2)
-    np.divide(gamma_s, TWO_PI * r2, out=c, where=mask)
-    if kind is KernelKind.GAUSSIAN_BLOB:
-        c = c * (1.0 - np.exp(-r2 / (2.0 * sigma_s * sigma_s)))
-    return -c * dy, c * dx
 
 
 def near_field(

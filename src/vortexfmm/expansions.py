@@ -146,13 +146,13 @@ def m2l_matrix(t: complex, p_to: int, p_from: int) -> np.ndarray:
 
 
 def local_shift_matrix(s: complex, p_to: int, p_from: int) -> np.ndarray:
-    """Matrix R with L' = R @ L re-centering a local expansion by ``s = new - old``."""
-    B = _binomials(max(p_to, p_from))
-    nn, mm = np.indices((p_to + 1, p_from + 1))
-    diff = mm - nn
-    sp = _powers(s, p_from + 1)
-    R = np.where(diff >= 0, B[mm, np.minimum(nn, mm)] * sp[np.maximum(diff, 0)], 0.0)
-    return R.astype(np.complex128)
+    """Matrix R with L' = R @ L re-centering a local expansion by ``s = new - old``.
+
+    R[n, m] = C(m, n) s^{m-n} for m >= n, the transpose of the multipole
+    shift by ``s``; copied contiguous, since BLAS may round a transposed view
+    differently.
+    """
+    return np.ascontiguousarray(multipole_shift_matrix(s, p_from, p_to).T)
 
 
 def m2m(child: Expansion, new_center: complex, p: int) -> Expansion:

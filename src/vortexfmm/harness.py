@@ -20,7 +20,7 @@ import re
 import statistics
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -67,7 +67,6 @@ class SweepConfig:
     oracle_mode: str = "sampled"
     oracle_k: int | None = 200
     out: str = "sweep_results.csv"
-    domain: Domain = field(default=UNIT_DOMAIN)
 
     @property
     def run_count(self) -> int:
@@ -180,7 +179,6 @@ class CaseResult:
     t_direct_ms: float
     m2l_count: int
     near_pair_count: int
-    particles: list[Particle]
     velocities: np.ndarray
     direct: np.ndarray
     oracle_positions: np.ndarray
@@ -260,7 +258,6 @@ def run_case(
         t_direct_ms=t_direct_ms,
         m2l_count=stats.m2l_count,
         near_pair_count=stats.near_pair_count,
-        particles=particles,
         velocities=velocities,
         direct=direct,
         oracle_positions=positions[sample],
@@ -467,7 +464,7 @@ def run_sweep(
                 config.distribution,
                 config.kernel,
                 config.sigma,
-                config.domain,
+                UNIT_DOMAIN,
                 config.oracle_mode,
                 config.oracle_k,
             )
@@ -475,7 +472,7 @@ def run_sweep(
             fh.flush()
             computed += 1
             if write_maps:
-                emap = errorlab.spatial_map(case.report, config.domain, config.map_grid)
+                emap = errorlab.spatial_map(case.report, UNIT_DOMAIN, config.map_grid)
                 errorlab.write_error_map_csv(
                     emap, maps_dir / f"map_n{n}_l{lev}_p{p}_s{seed}.csv"
                 )
@@ -521,13 +518,12 @@ def timing_study(
     seed: int = 1,
     repeats: int = 3,
     direct_cutoff: int = 8192,
-    distribution: str = "uniform_random",
-    kernel: str = "point",
-    sigma: float = 0.005,
-    domain: Domain = UNIT_DOMAIN,
     out_path=None,
 ) -> list[TimingRow]:
     """Median-of-``repeats`` wall times for the fast and direct evaluations.
+
+    Uniform random particles with the generator's default core radius on the
+    unit domain, point-vortex kernel.
 
     ``levels`` fixes the depth; otherwise it follows the occupancy policy.
     Direct timing is measured up to ``direct_cutoff`` particles and
@@ -535,15 +531,14 @@ def timing_study(
     t = t_max * (n / n_max)^2, which stays positive (flagged per row).  Runs
     strictly sequentially.
     """
-    kind = _KERNEL_TOKENS[kernel]
     rows: list[tuple[int, int, float, float | None]] = []
     measured: list[tuple[int, float]] = []
     for n in sorted(n_values):
         lev = levels if levels is not None else occupancy_levels(n, target_per_leaf)
-        particles = generate_particles(distribution, n, seed, domain, sigma)
-        config = FmmConfig(levels=lev, order=p, kernel=kind)
+        particles = generate_particles("uniform_random", n, seed)
+        config = FmmConfig(levels=lev, order=p)
         t_fmm = statistics.median(
-            evaluate(particles, config, domain)[1].t_total for _ in range(repeats)
+            evaluate(particles, config, UNIT_DOMAIN)[1].t_total for _ in range(repeats)
         )
         t_direct: float | None = None
         if n <= direct_cutoff:
@@ -552,7 +547,7 @@ def timing_study(
             samples = []
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                velocity_direct(positions, particles, kind)
+                velocity_direct(positions, particles, KernelKind.POINT_VORTEX)
                 samples.append(time.perf_counter() - t0)
             t_direct = statistics.median(samples)
             measured.append((n, t_direct))

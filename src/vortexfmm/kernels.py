@@ -53,6 +53,31 @@ def kernel_eval(target: tuple[float, float], source: Particle, kind: KernelKind)
     return ComplexVelocity(-c * dy, c * dx)
 
 
+def _pair_velocity(
+    xt: np.ndarray,
+    yt: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    gamma_s: np.ndarray,
+    sigma_s: np.ndarray | None,
+    kind: KernelKind,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) terms of target-source pairs, kernel_eval arithmetic.
+
+    The arguments broadcast to one entry per pair (``sigma_s`` for the blob
+    kernel only); a coincident pair gives zero terms.
+    """
+    dx = xt - xs
+    dy = yt - ys
+    r2 = dx * dx + dy * dy
+    mask = r2 > 0.0
+    c = np.zeros_like(r2)
+    np.divide(gamma_s, TWO_PI * r2, out=c, where=mask)
+    if kind is KernelKind.GAUSSIAN_BLOB:
+        c = c * (1.0 - np.exp(-r2 / (2.0 * sigma_s * sigma_s)))
+    return -c * dy, c * dx
+
+
 def velocity_direct(
     targets: np.ndarray | Sequence[tuple[float, float]],
     sources: Sequence[Particle],
@@ -90,15 +115,7 @@ def velocity_direct(
     step = max(1, _BLOCK // max(len(pts), 1))
     for lo in range(0, len(sources), step):
         blk = slice(lo, lo + step)
-        dx = tx - sx[blk, None]
-        dy = ty - sy[blk, None]
-        r2 = dx * dx + dy * dy
-        c = np.zeros_like(r2)
-        np.divide(gamma[blk, None], TWO_PI * r2, out=c, where=r2 > 0.0)
-        if kind is KernelKind.GAUSSIAN_BLOB:
-            c = c * (1.0 - np.exp(-r2 / (2.0 * sigma[blk, None] * sigma[blk, None])))
-        du = -c * dy
-        dv = c * dx
+        du, dv = _pair_velocity(tx, ty, sx[blk, None], sy[blk, None], gamma[blk, None], sigma[blk, None], kind)
         for row in range(len(du)):
             u += du[row]
             v += dv[row]

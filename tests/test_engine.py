@@ -3,10 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import positions_of
+from vortexfmm import expansions
 from vortexfmm.engine import (
     FmmConfig,
+    _evaluate,
+    _interaction_groups,
     bound_budgets,
     downward_pass,
     evaluate,
@@ -178,6 +183,56 @@ class TestTranslatePass:
         rho = radius / (2 * tree.cell_side(2) - radius)
         worst = truncation_bound(BoundParams(1.5, rho), p)
         assert abs(eval_local(exp, center) - exact) <= worst
+
+
+    @pytest.mark.parametrize("level", [2, 3, 4, 5])
+    def test_one_group_per_offset_in_row_major_order(self, level):
+        offsets = [(dx, dy) for dx, dy, _, _ in _interaction_groups(level)]
+        assert len(set(offsets)) == len(offsets)
+        assert offsets == sorted(offsets, key=lambda o: (o[1], o[0]))
+        assert all(max(abs(dx), abs(dy)) in (2, 3) for dx, dy in offsets)
+
+    @pytest.mark.parametrize("level", [2, 3, 4, 5])
+    def test_groups_deliver_each_interaction_list_in_order(self, level):
+        received = {}
+        for dx, dy, dest, src in _interaction_groups(level):
+            assert np.array_equal(src, dest + dy * 2**level + dx)
+            for d, s in zip(dest.tolist(), src.tolist()):
+                received.setdefault(d, []).append(s)
+        m = 2**level
+        for iy in range(m):
+            for ix in range(m):
+                cell = CellId(level, ix, iy)
+                expected = [linear_id(c) for c in interaction_list(cell)]
+                assert received.get(linear_id(cell), []) == expected, cell
+
+    def test_each_translation_matrix_built_once_per_level(self, monkeypatch):
+        built = []
+
+        def counting(t, p_to, p_from):
+            built.append(t)
+            return m2l_matrix(t, p_to, p_from)
+
+        m2l_matrix = expansions.m2l_matrix
+        monkeypatch.setattr(expansions, "m2l_matrix", counting)
+        particles = generate_particles("uniform_random", 4000, 2)
+        tree = build_tree(particles, 5, UNIT)
+        z, g, _ = sorted_arrays(particles, tree)
+        translate_pass(tree, upward_pass(tree, z, g, 4), 4)
+        per_level = {}
+        for level in range(2, 6):
+            side = tree.cell_side(level)
+            candidates = {
+                -side * (dx + 1j * dy)
+                for dx in range(-3, 4)
+                for dy in range(-3, 4)
+                if max(abs(dx), abs(dy)) >= 2
+            }
+            per_level[level] = [t for t in built if t in candidates]
+        assert sum(len(ts) for ts in per_level.values()) == len(built)
+        for level, ts in per_level.items():
+            assert len(ts) <= 40, level
+            assert len(set(ts)) == len(ts), level
 
 
 class TestDownwardPass:
@@ -447,3 +502,53 @@ class TestFullBudgetRun:
         budgets = bound_budgets(build_tree(particles, 4, UNIT), to_arrays(particles)[2], p)
         rep = compare(vel, direct, positions_of(particles), budgets)
         assert bound_check(rep) == []
+
+
+@st.composite
+def geometries(draw):
+    """Particles on a 256-step lattice of a random domain, with the edge cases
+    the tree must bin: duplicates, one shared leaf and the max edges."""
+    side = 10.0 ** draw(st.floats(-2.0, 2.0))
+    domain = Domain(side * draw(st.floats(-50.0, 50.0)), side * draw(st.floats(-50.0, 50.0)), side)
+    levels = draw(st.integers(2, 4))
+    order = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(list(KernelKind)))
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        # every particle in one leaf (its max edges belong to the next leaf)
+        width = 256 >> levels
+        lx, ly = (width * draw(st.integers(0, 2**levels - 1)) for _ in range(2))
+        ks = st.tuples(st.integers(lx, lx + width - 1), st.integers(ly, ly + width - 1))
+    else:
+        ks = st.tuples(st.integers(0, 256), st.integers(0, 256))
+    lattice = draw(st.lists(ks, min_size=n, max_size=n))
+    lattice += draw(st.lists(st.sampled_from(lattice), max_size=5))  # duplicates
+    if draw(st.booleans()):
+        lattice += [(256, 256), (256, 0), (0, 256)]  # max edges and corners
+    gammas = draw(st.lists(st.floats(0.1, 1.0), min_size=len(lattice), max_size=len(lattice)))
+    sigma = 1e-3 * side / 2**levels
+    particles = [
+        Particle(domain.xmin + side * (kx / 256), domain.ymin + side * (ky / 256), g, sigma)
+        for (kx, ky), g in zip(lattice, gammas)
+    ]
+    return particles, domain, FmmConfig(levels, order, kind)
+
+
+class TestGeometryProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(case=geometries())
+    def test_finite_and_within_budget(self, case):
+        particles, domain, config = case
+        vel, stats, tree = _evaluate(particles, config, domain)
+        assert stats.sigma_guard_ok
+        assert np.isfinite(vel).all()
+        direct = velocity_direct(positions_of(particles), particles, config.kernel)
+        budgets = bound_budgets(tree, to_arrays(particles)[2], config.order)
+        # Each budget term A rho^(p+1) / (1 - rho), rho = r / (R - r), bounds
+        # the M2L error only up to the length factor 2 / (R - r): multipole
+        # tail plus local tail give 2 A rho^(p+1) / (R - 2 r).  R - r is
+        # smallest at the leaf level, (2 - 1/sqrt(2)) leaf sides.
+        length = 2.0 / ((2.0 - 1.0 / math.sqrt(2.0)) * tree.cell_side(config.levels))
+        err = np.hypot(*(vel - direct).T)
+        roundoff = 1e-12 * np.hypot(*direct.T).max()
+        assert np.all(err <= length * budgets / TWO_PI + roundoff)
