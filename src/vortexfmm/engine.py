@@ -27,9 +27,8 @@ one translation matrix.  So each of the 40 groups builds its matrix once and
 is a single matrix product over the stacked source coefficients.  Per
 destination the groups apply in row-major offset order, which pins the
 floating-point accumulation order and makes results bitwise reproducible.
-Regrouping the destinations (as from four parity classes to one group per
-offset) can still move last bits: BLAS rounds each row of a product
-according to the batch it is computed in.
+Grouping the destinations differently can still move last bits, since BLAS
+rounds each row of a product according to the batch it is computed in.
 """
 
 from __future__ import annotations

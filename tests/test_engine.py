@@ -184,7 +184,6 @@ class TestTranslatePass:
         worst = truncation_bound(BoundParams(1.5, rho), p)
         assert abs(eval_local(exp, center) - exact) <= worst
 
-
     @pytest.mark.parametrize("level", [2, 3, 4, 5])
     def test_one_group_per_offset_in_row_major_order(self, level):
         offsets = [(dx, dy) for dx, dy, _, _ in _interaction_groups(level)]
@@ -207,13 +206,13 @@ class TestTranslatePass:
                 assert received.get(linear_id(cell), []) == expected, cell
 
     def test_each_translation_matrix_built_once_per_level(self, monkeypatch):
+        build = expansions.m2l_matrix
         built = []
 
         def counting(t, p_to, p_from):
             built.append(t)
-            return m2l_matrix(t, p_to, p_from)
+            return build(t, p_to, p_from)
 
-        m2l_matrix = expansions.m2l_matrix
         monkeypatch.setattr(expansions, "m2l_matrix", counting)
         particles = generate_particles("uniform_random", 4000, 2)
         tree = build_tree(particles, 5, UNIT)
