@@ -20,19 +20,28 @@ Passes, in order:
 ``evaluate`` runs this one pipeline with the particles themselves as targets;
 ``evaluate_at`` runs the same pipeline at arbitrary targets binned into leaves.
 
-Translations are grouped by index offset: a cell's interaction list is the
-children of its parent's neighbors minus its own neighbors, which spans 40
-offsets (dx, dy), and at a fixed level every pair at the same offset shares
-one translation matrix.  So each of the 40 groups builds its matrix once and
-is a single matrix product over the stacked source coefficients.  Per
-destination the groups apply in row-major offset order, which pins the
-floating-point accumulation order and makes results bitwise reproducible.
-Grouping the destinations differently can still move last bits, since BLAS
-rounds each row of a product according to the batch it is computed in.
+Every coefficient is stored in units of its own cell side h: a multipole as
+a_k / h^(k+1), so that P2M sums (Gamma / h) ((z - c) / h)^k, and a local as
+L_m h^m, evaluated at (z - c) / h.  A translation then depends only on the
+order and on the offset in cell sides: M2M and L2L on one of 4 child
+quadrants, M2L on one of the 40 offsets (dx, dy) that a cell's interaction
+list spans (the children of its parent's neighbors minus its own
+neighbors).  ``_translations`` builds these 48 matrices once per order for
+every level, run and domain, and no power of a physical length can over- or
+underflow in the passes.  On a domain whose side is a power of two every
+scaling is exact, so results are bit for bit those of physical units.
+
+Each of the 40 offset groups of a level is a single matrix product over the
+stacked source coefficients.  Per destination the groups apply in row-major
+offset order, which pins the floating-point accumulation order and makes
+results bitwise reproducible.  Grouping the destinations differently can
+still move last bits, since BLAS rounds each row of a product according to
+the batch it is computed in.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 import warnings
 from dataclasses import dataclass
@@ -60,10 +69,7 @@ class FmmConfig:
     def validate(self) -> None:
         if self.levels < 2:
             raise ValueError(f"levels must be >= 2, got {self.levels}")
-        if self.order < 0:
-            raise ValueError(f"order must be >= 0, got {self.order}")
-        if self.order > expansions.ORDER_CAP:
-            raise ValueError(f"order {self.order} exceeds cap {expansions.ORDER_CAP}")
+        expansions._check_order(self.order)
 
 
 @dataclass
@@ -121,17 +127,38 @@ def _quadrant_groups(level: int):
             yield (cx - 0.5) + 1j * (cy - 0.5), parents, ((2 * JY + cy) * m + 2 * JX + cx).ravel()
 
 
+@functools.lru_cache(maxsize=None)
+def _translations(p: int) -> tuple[dict, dict, dict]:
+    """Read-only order-``p`` (M2M, M2L, L2L) matrices on cell-side coefficients.
+
+    M2M and L2L are keyed by the ``_quadrant_groups`` shift, M2L by the
+    ``_interaction_groups`` offset.  A parent's side is twice its child's, so
+    M2M row m carries 2^-(m+1) and L2L column m carries 2^-m.
+    """
+    halves = 0.5 ** np.arange(p + 1)
+    shifts = [shift for shift, _, _ in _quadrant_groups(1)]
+    m2m = {s: expansions.multipole_shift_matrix(s, p, p) * (0.5 * halves)[:, None] for s in shifts}
+    l2l = {s: expansions.local_shift_matrix(s, p, p) * halves for s in shifts}
+    # local center minus source center: the source sits at the offset
+    m2l = {(dx, dy): expansions.m2l_matrix(-(dx + 1j * dy), p, p) for dx, dy, _, _ in _interaction_groups(2)}
+    for matrix in (*m2m.values(), *m2l.values(), *l2l.values()):
+        matrix.setflags(write=False)
+    return m2m, m2l, l2l
+
+
 def upward_pass(tree: Tree, z_sorted: np.ndarray, gamma_sorted: np.ndarray, order: int) -> list:
-    """Multipole coefficients for every cell at levels 2..leaf, leaf upward.
+    """Multipole coefficients, in cell-side units, for every cell at levels
+    2..leaf, leaf upward.
 
     Returns a list indexed by level; entries below level 2 are ``None``.
     Empty cells carry the zero expansion.
     """
     levels, p = tree.levels, order
     n = len(z_sorted)
-    delta = z_sorted - tree.centers(levels)[tree.sorted_leaf]
+    side = tree.cell_side(levels)
+    delta = (z_sorted - tree.centers(levels)[tree.sorted_leaf]) / side
     powers = np.empty((n, p + 1), dtype=np.complex128)
-    powers[:, 0] = gamma_sorted
+    powers[:, 0] = gamma_sorted / side
     for k in range(1, p + 1):
         powers[:, k] = powers[:, k - 1] * delta
     # reduceat over nonempty leaves only: their starts are strictly
@@ -141,14 +168,13 @@ def upward_pass(tree: Tree, z_sorted: np.ndarray, gamma_sorted: np.ndarray, orde
     occupied = np.flatnonzero(tree.nonempty(levels))
     leaf_mult[occupied] = np.add.reduceat(powers, tree.leaf_starts[occupied], axis=0)
 
+    m2m, _, _ = _translations(p)
     mult: list = [None] * (levels + 1)
     mult[levels] = leaf_mult
     for level in range(levels, 2, -1):
-        side = tree.cell_side(level)
         coarse = np.zeros((4 ** (level - 1), p + 1), dtype=np.complex128)
         for shift, parents, children in _quadrant_groups(level):
-            S = expansions.multipole_shift_matrix(side * shift, p, p)
-            coarse[parents] += mult[level][children] @ S.T
+            coarse[parents] += mult[level][children] @ m2m[shift].T
         mult[level - 1] = coarse
     return mult
 
@@ -158,14 +184,14 @@ def translate_pass(tree: Tree, multipoles: list, order: int) -> tuple[list, int]
 
     Every cell receives contributions from the nonempty members of its
     interaction list; empty sources are skipped (their expansion is zero).
-    Returns the per-level local coefficient arrays (levels 2..leaf) and the
-    number of translations performed.
+    Returns the per-level local coefficient arrays (levels 2..leaf, in
+    cell-side units) and the number of translations performed.
     """
     levels, p = tree.levels, order
+    _, m2l, _ = _translations(p)
     locals_: list = [None] * (levels + 1)
     count = 0
     for level in range(2, levels + 1):
-        side = tree.cell_side(level)
         loc = np.zeros((4**level, p + 1), dtype=np.complex128)
         occupied = tree.nonempty(level)
         for dx, dy, dest, src in _interaction_groups(level):
@@ -175,33 +201,28 @@ def translate_pass(tree: Tree, multipoles: list, order: int) -> tuple[list, int]
             if dest.size == 0:
                 continue
             count += dest.size
-            # t = local center - source center; the offset points from
-            # destination to source.
-            t = -side * (dx + 1j * dy)
-            T = expansions.m2l_matrix(t, p, p)
-            loc[dest] += multipoles[level][src] @ T.T
+            loc[dest] += multipoles[level][src] @ m2l[dx, dy].T
         locals_[level] = loc
     return locals_, count
 
 
 def downward_pass(tree: Tree, locals_: list) -> list:
     """Add each parent's completed local expansion into its children (levels 3..leaf)."""
+    _, _, l2l = _translations(locals_[tree.levels].shape[1] - 1)
     for level in range(3, tree.levels + 1):
-        side = tree.cell_side(level)
-        p = locals_[level].shape[1] - 1
         for shift, parents, children in _quadrant_groups(level):
-            R = expansions.local_shift_matrix(side * shift, p, p)
-            locals_[level][children] += locals_[level - 1][parents] @ R.T
+            locals_[level][children] += locals_[level - 1][parents] @ l2l[shift].T
     return locals_
 
 
 def far_field(tree: Tree, locals_: list, z_sorted: np.ndarray) -> np.ndarray:
-    """Evaluate each target's leaf-local expansion at the target (f values).
+    """Evaluate each target's leaf-local expansion, in cell-side units, at the
+    target (f values).
 
     ``tree`` bins the leaf-sorted targets ``z_sorted`` (often the particles).
     """
     leaf = tree.sorted_leaf
-    delta = z_sorted - tree.centers(tree.levels)[leaf]
+    delta = (z_sorted - tree.centers(tree.levels)[leaf]) / tree.cell_side(tree.levels)
     coeffs = locals_[tree.levels][leaf]
     acc = coeffs[:, -1].copy()
     for k in range(coeffs.shape[1] - 2, -1, -1):
@@ -299,9 +320,12 @@ def bound_budgets(tree: Tree, gamma: np.ndarray, order: int) -> np.ndarray:
     """Per-particle truncation budget: the tail bound summed over every
     translation whose result that particle's leaf inherits.
 
-    rho per cell pair uses the position-independent worst case
-    (sqrt(2) * half_width) / (center distance - sqrt(2) * half_width).
-    Budgets are on |f| error; velocity error budgets are these over 2 pi.
+    A translation between cells of radius r = sqrt(2) * half_width whose
+    centers lie R apart contributes the multipole tail plus the local tail,
+    2 A rho^(p+1) / (R - 2 r) with rho = r / (R - r): the geometric tail
+    A rho^(p+1) / (1 - rho) times the length 2 / (R - r).  This is the
+    position-independent worst case over the cell pair.  Budgets are on |f|
+    error; velocity error budgets are these over 2 pi.
     """
     levels, p = tree.levels, order
     m = 2**levels
@@ -323,7 +347,7 @@ def bound_budgets(tree: Tree, gamma: np.ndarray, order: int) -> np.ndarray:
         for dx, dy, dest, src in _interaction_groups(level):
             dist = np.hypot(dx, dy) * side
             rho = radius / (dist - radius)
-            factor = truncation_bound(BoundParams(1.0, rho), p)
+            factor = truncation_bound(BoundParams(1.0, rho), p) * 2.0 / (dist - radius)
             cell_budget[dest] += amp[level][src] * factor
         total = cell_budget.reshape(mk, mk) + np.repeat(np.repeat(total, 2, axis=0), 2, axis=1)
 

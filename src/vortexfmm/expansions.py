@@ -20,8 +20,11 @@ multipole-to-local translation approximate, with the geometric tail bound
 A rho^{p+1} / (1 - rho) exposed by :func:`truncation_bound`.
 
 Coefficient sums accumulate in ascending index; no compensated summation.
-The order is capped at 60 to keep binomials and center-offset powers inside
-double-precision range at domain scales of order one.
+The order is capped at ``ORDER_CAP`` = 60.  The functions here work in
+physical units, so their center-offset powers stay inside double-precision
+range only at offsets of order one; the engine scales its coefficients by
+the cell side (see :mod:`vortexfmm.engine`), so there the cap does not
+depend on the domain's scale.
 """
 
 from __future__ import annotations

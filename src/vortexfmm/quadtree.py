@@ -133,10 +133,6 @@ class Tree:
             ).ravel()
         self.leaf_starts = np.concatenate([[0], np.cumsum(self.counts[levels])])
 
-    @property
-    def num_particles(self) -> int:
-        return len(self.leaf_index)
-
     def cell_side(self, level: int) -> float:
         return self.domain.side / 2**level
 
