@@ -50,6 +50,7 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 def measure_once() -> dict:
     """One repeat of the whole ladder in this interpreter (the package is already importable)."""
+    import numpy as np
     from vortexfmm import engine, harness, kernels, model
     from vortexfmm.kernels import KernelKind
 
@@ -59,7 +60,8 @@ def measure_once() -> dict:
     for n in LADDER:
         particles = model.generate_particles("uniform_random", n, SEED, sigma=SIGMA)
         levels = harness.occupancy_levels(n, TARGET_PER_LEAF)
-        targets = [(p.x, p.y) for p in particles[:DIRECT_TARGETS]]
+        x, y, _, _ = model.to_arrays(particles)
+        targets = np.stack((x[:DIRECT_TARGETS], y[:DIRECT_TARGETS]), axis=1)
         for name in KERNELS:
             kind = KernelKind(name)
             _, stats = engine.evaluate(particles, engine.FmmConfig(levels, ORDER, kind), model.UNIT_DOMAIN)

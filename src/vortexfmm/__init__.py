@@ -13,6 +13,7 @@ from .kernels import ComplexVelocity, KernelKind, kernel_eval, velocity_direct
 from .model import (
     Domain,
     Particle,
+    Particles,
     generate_particles,
     read_particles,
     write_particles,
@@ -32,6 +33,7 @@ __all__ = [
     "FmmRunStats",
     "KernelKind",
     "Particle",
+    "Particles",
     "Tree",
     "bound_check",
     "build_tree",

@@ -52,7 +52,7 @@ import numpy as np
 from . import expansions
 from .expansions import BoundParams, truncation_bound
 from .kernels import _BLOCK, KernelKind, _pair_velocity
-from .model import Domain, Particle, enclosing_domain, to_arrays
+from .model import Domain, Particle, Particles, enclosing_domain
 from .quadtree import Tree, _leaf_tree, build_tree
 
 SQRT2 = np.sqrt(2.0)
@@ -358,7 +358,7 @@ def bound_budgets(tree: Tree, gamma: np.ndarray, order: int) -> np.ndarray:
 
 
 def _evaluate(
-    particles: Sequence[Particle],
+    particles: Particles | Sequence[Particle],
     config: FmmConfig,
     domain: Domain | None,
     targets: np.ndarray | None = None,
@@ -375,17 +375,13 @@ def _evaluate(
     t_start = time.perf_counter()
 
     t0 = time.perf_counter()
-    x, y, gamma, sigma = to_arrays(particles)
-    valid = np.isfinite(x) & np.isfinite(y) & np.isfinite(gamma) & np.isfinite(sigma) & (sigma > 0.0)
-    if not valid.all():
-        i = int(np.argmin(valid))
-        raise ValueError(f"particle {i}: need finite x, y, gamma and core radius sigma > 0, got {particles[i]}")
+    particles = Particles.of(particles)
     if domain is None:
         domain = enclosing_domain(particles)
     tree = build_tree(particles, config.levels, domain)
-    z_sorted = (x + 1j * y)[tree.order]
-    gamma_sorted = gamma[tree.order]
-    sigma_sorted = sigma[tree.order]
+    z_sorted = (particles.x + 1j * particles.y)[tree.order]
+    gamma_sorted = particles.gamma[tree.order]
+    sigma_sorted = particles.sigma[tree.order]
     if targets is None:
         at, zt_sorted = tree, z_sorted
     else:
@@ -395,7 +391,7 @@ def _evaluate(
 
     if config.kernel is KernelKind.GAUSSIAN_BLOB:
         guard = tree.half_width(config.levels) / 2.0
-        max_sigma = float(sigma.max())
+        max_sigma = float(particles.sigma.max())
         if max_sigma > guard:
             stats.sigma_guard_ok = False
             warnings.warn(
@@ -434,7 +430,7 @@ def _evaluate(
 
 
 def evaluate(
-    particles: Sequence[Particle],
+    particles: Particles | Sequence[Particle],
     config: FmmConfig,
     domain: Domain | None = None,
 ) -> tuple[np.ndarray, FmmRunStats]:
@@ -448,7 +444,7 @@ def evaluate(
 
 def evaluate_at(
     targets: np.ndarray | Sequence[tuple[float, float]],
-    particles: Sequence[Particle],
+    particles: Particles | Sequence[Particle],
     config: FmmConfig,
     domain: Domain | None = None,
 ) -> np.ndarray:

@@ -35,13 +35,6 @@ class ErrorReport:
     worst_index: int
     bound_budget: np.ndarray | None = None  # per-target |f| budgets, if supplied
 
-    @property
-    def per_target(self) -> list[tuple[int, tuple[float, float], float]]:
-        return [
-            (i, (float(px), float(py)), float(e))
-            for i, ((px, py), e) in enumerate(zip(self.positions, self.abs_errors))
-        ]
-
 
 def compare(
     fmm_vel: np.ndarray,

@@ -33,11 +33,10 @@ from .model import (
     GENERATOR_ID,
     UNIT_DOMAIN,
     Domain,
-    Particle,
+    Particles,
     enclosing_domain,
     generate_particles,
     read_particles,
-    to_arrays,
 )
 
 SWEEP_HEADER = (
@@ -217,7 +216,7 @@ def run_case(
     domain: Domain = UNIT_DOMAIN,
     oracle_mode: str = "always",
     oracle_k: int | None = None,
-    particles: list[Particle] | None = None,
+    particles: Particles | None = None,
 ) -> CaseResult:
     """Generate (or take) particles, run the fast evaluation and the oracle, compare."""
     kind = _KERNEL_TOKENS[kernel]
@@ -226,9 +225,8 @@ def run_case(
     config = FmmConfig(levels=levels, order=p, kernel=kind)
     velocities, stats, tree = _evaluate(particles, config, domain)
 
-    x, y, gamma, _ = to_arrays(particles)
-    positions = np.stack((x, y), axis=1)
-    budgets = bound_budgets(tree, gamma, p)
+    positions = np.stack((particles.x, particles.y), axis=1)
+    budgets = bound_budgets(tree, particles.gamma, p)
 
     if oracle_mode == "sampled" and oracle_k is not None and oracle_k < n:
         rng = np.random.default_rng([seed, n, levels, p, 0x0F5EED])
@@ -542,8 +540,7 @@ def timing_study(
         )
         t_direct: float | None = None
         if n <= direct_cutoff:
-            x, y, _, _ = to_arrays(particles)
-            positions = np.stack((x, y), axis=1)
+            positions = np.stack((particles.x, particles.y), axis=1)
             samples = []
             for _ in range(repeats):
                 t0 = time.perf_counter()

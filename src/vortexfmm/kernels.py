@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .model import Particle, to_arrays
+from .model import Particle, Particles
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,7 +80,7 @@ def _pair_velocity(
 
 def velocity_direct(
     targets: np.ndarray | Sequence[tuple[float, float]],
-    sources: Sequence[Particle],
+    sources: Particles | Sequence[Particle],
     kind: KernelKind,
 ) -> np.ndarray:
     """Direct summation over all source particles at each target.
@@ -106,14 +106,14 @@ def velocity_direct(
     pts = np.asarray(targets, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"targets must have shape (M, 2), got {pts.shape}")
-    tx = pts[:, 0]
-    ty = pts[:, 1]
-    sx, sy, gamma, sigma = to_arrays(sources)
+    tx, ty = pts.T
+    src = Particles.of(sources)
+    sx, sy, gamma, sigma = src.x, src.y, src.gamma, src.sigma
 
     u = np.zeros(len(pts))
     v = np.zeros(len(pts))
     step = max(1, _BLOCK // max(len(pts), 1))
-    for lo in range(0, len(sources), step):
+    for lo in range(0, len(src), step):
         blk = slice(lo, lo + step)
         du, dv = _pair_velocity(tx, ty, sx[blk, None], sy[blk, None], gamma[blk, None], sigma[blk, None], kind)
         for row in range(len(du)):

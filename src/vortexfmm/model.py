@@ -1,7 +1,8 @@
 """Vortex particle domain types, distribution generators, and particle file I/O.
 
 A particle is a regularized point vortex: a position, a signed circulation
-``gamma``, and a Gaussian core radius ``sigma``.  Generators produce seeded,
+``gamma``, and a Gaussian core radius ``sigma``; every layer takes a set of
+them as one :class:`Particles`.  Generators produce seeded,
 fully reproducible particle sets on a square domain; the three shipped
 distributions are study stand-ins (uniform mixed-sign circulation, a single
 all-positive Gaussian patch, and a pair of opposite-sign patches).
@@ -12,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +36,42 @@ class Particle:
     y: float
     gamma: float
     sigma: float
+
+
+@dataclass(frozen=True, eq=False)
+class Particles:
+    """N regularized vortices as four float64 arrays, copied and checked once (1-D, one
+    length, finite, ``sigma > 0``) and read-only, so no later write gets around the check."""
+
+    x: np.ndarray
+    y: np.ndarray
+    gamma: np.ndarray
+    sigma: np.ndarray
+
+    def __post_init__(self) -> None:
+        shapes = [np.shape(field) for field in (self.x, self.y, self.gamma, self.sigma)]
+        if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+            raise ValueError(f"x, y, gamma and sigma must be 1-D arrays of one length, got shapes {shapes}")
+        fields = np.array([self.x, self.y, self.gamma, self.sigma], dtype=np.float64)
+        valid = np.isfinite(fields).all(axis=0) & (fields[3] > 0.0)
+        if not valid.all():
+            i = int(np.argmin(valid))
+            bad = Particle(*fields[:, i].tolist())
+            raise ValueError(f"particle {i}: need finite x, y, gamma and core radius sigma > 0, got {bad}")
+        fields.setflags(write=False)
+        for name, field in zip(("x", "y", "gamma", "sigma"), fields):
+            object.__setattr__(self, name, field)
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    @classmethod
+    def of(cls, particles: Particles | Sequence[Particle]) -> Particles:
+        """``particles`` itself, or a list of :class:`Particle` converted to arrays."""
+        if isinstance(particles, cls):
+            return particles
+        rows = [(pt.x, pt.y, pt.gamma, pt.sigma) for pt in particles]
+        return cls(*np.array(rows, dtype=np.float64).reshape(-1, 4).T)
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,7 +112,7 @@ def generate_particles(
     seed: int,
     domain: Domain = UNIT_DOMAIN,
     sigma: float = 0.005,
-) -> list[Particle]:
+) -> Particles:
     """Generate ``n`` seeded particles on ``domain``.
 
     Positions are uniform over the domain for every distribution; the stream
@@ -97,8 +134,6 @@ def generate_particles(
         raise ValueError(f"particle count must be >= 1, got {n}")
     if distribution not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}, expected one of {DISTRIBUTIONS}")
-    if not (sigma > 0.0):
-        raise ValueError(f"core radius sigma must be > 0, got {sigma}")
 
     rng = np.random.default_rng(seed)
     pos = rng.uniform(size=(n, 2))
@@ -120,60 +155,52 @@ def generate_particles(
         r2b = (x - cx2) ** 2 + (y - cy) ** 2
         gamma = (np.exp(-r2a / (2.0 * s * s)) - np.exp(-r2b / (2.0 * s * s))) * domain.side**2 / n
 
-    return [Particle(float(xi), float(yi), float(gi), sigma) for xi, yi, gi in zip(x, y, gamma)]
+    return Particles(x, y, gamma, np.full(n, sigma))
 
 
-def to_arrays(particles: Sequence[Particle]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Unpack a particle list into (x, y, gamma, sigma) float64 arrays."""
-    n = len(particles)
-    x = np.empty(n)
-    y = np.empty(n)
-    gamma = np.empty(n)
-    sigma = np.empty(n)
-    for i, pt in enumerate(particles):
-        x[i] = pt.x
-        y[i] = pt.y
-        gamma[i] = pt.gamma
-        sigma[i] = pt.sigma
-    return x, y, gamma, sigma
+def to_arrays(particles: Particles | Sequence[Particle]) -> tuple[np.ndarray, ...]:
+    """The (x, y, gamma, sigma) read-only float64 arrays of a particle set."""
+    p = Particles.of(particles)
+    return p.x, p.y, p.gamma, p.sigma
 
 
-def enclosing_domain(particles: Sequence[Particle]) -> Domain:
+def enclosing_domain(particles: Particles | Sequence[Particle]) -> Domain:
     """Smallest axis-aligned square containing every particle.
 
     Used when particles come from a file without an explicit domain.  Points
     on the max edges are valid (they clamp into the last cell row/column).
     Degenerate extents fall back to a unit side.
     """
-    x, y, _, _ = to_arrays(particles)
-    xmin = float(x.min())
-    ymin = float(y.min())
-    side = float(max(x.max() - xmin, y.max() - ymin))
+    p = Particles.of(particles)
+    xmin = float(p.x.min())
+    ymin = float(p.y.min())
+    side = float(max(p.x.max() - xmin, p.y.max() - ymin))
     if side <= 0.0:
         side = 1.0
     return Domain(xmin, ymin, side)
 
 
-def write_particles(path, particles: Iterable[Particle]) -> None:
+def write_particles(path, particles: Particles | Sequence[Particle]) -> None:
     """Write particles as CSV with header ``x,y,gamma,sigma``.
 
     Values carry 17 significant digits so a write/read round trip is exact.
     """
+    p = Particles.of(particles)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x", "y", "gamma", "sigma"])
-        for pt in particles:
-            writer.writerow([format(v, ".17g") for v in (pt.x, pt.y, pt.gamma, pt.sigma)])
+        for row in zip(p.x.tolist(), p.y.tolist(), p.gamma.tolist(), p.sigma.tolist()):
+            writer.writerow([format(v, ".17g") for v in row])
 
 
-def read_particles(path) -> list[Particle]:
+def read_particles(path) -> Particles:
     """Read a particle CSV written by :func:`write_particles`.
 
     Raises :class:`ParticleFileError` naming the 1-based line of the first
     malformed row, including non-finite values and core radii ``sigma <= 0``;
-    a file with only the header yields an empty list.
+    a file with only the header yields an empty set.
     """
-    particles: list[Particle] = []
+    rows: list[tuple[float, float, float, float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -195,5 +222,5 @@ def read_particles(path) -> list[Particle]:
                 raise ParticleFileError(f"{path}:{lineno}: non-finite value in {row!r}")
             if not sigma > 0.0:
                 raise ParticleFileError(f"{path}:{lineno}: core radius sigma must be > 0, got {sigma}")
-            particles.append(Particle(x, y, gamma, sigma))
-    return particles
+            rows.append((x, y, gamma, sigma))
+    return Particles(*np.array(rows, dtype=np.float64).reshape(-1, 4).T)

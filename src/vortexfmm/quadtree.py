@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .model import Domain, Particle, to_arrays
+from .model import Domain, Particle, Particles
 
 
 class OutOfDomainError(ValueError):
@@ -191,7 +191,7 @@ def _leaf_tree(x: np.ndarray, y: np.ndarray, levels: int, domain: Domain, what: 
     return Tree(domain, levels, iy * m + ix)
 
 
-def build_tree(particles: Sequence[Particle], levels: int, domain: Domain) -> Tree:
+def build_tree(particles: Particles | Sequence[Particle], levels: int, domain: Domain) -> Tree:
     """Assign particles to leaves of a ``levels``-deep uniform quadtree.
 
     Requires ``levels >= 2`` (interaction lists are empty below level 2) and
@@ -199,5 +199,5 @@ def build_tree(particles: Sequence[Particle], levels: int, domain: Domain) -> Tr
     """
     if levels < 2:
         raise ValueError(f"tree needs at least 2 levels, got {levels}")
-    x, y, _, _ = to_arrays(particles)
-    return _leaf_tree(x, y, levels, domain, "particle")
+    particles = Particles.of(particles)
+    return _leaf_tree(particles.x, particles.y, levels, domain, "particle")

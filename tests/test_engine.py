@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import positions_of
+from conftest import particle_list, positions_of
 from vortexfmm import expansions
 from vortexfmm.engine import (
     FmmConfig,
@@ -25,11 +25,16 @@ from vortexfmm.engine import (
 from vortexfmm.errors import bound_check, compare
 from vortexfmm.expansions import BoundParams, Expansion, eval_local, eval_multipole, truncation_bound
 from vortexfmm.kernels import _BLOCK, TWO_PI, KernelKind, kernel_eval, velocity_direct
-from vortexfmm.model import Domain, Particle, generate_particles, to_arrays
+from vortexfmm.model import Domain, Particle, Particles, generate_particles, to_arrays
 from vortexfmm.quadtree import CellId, build_tree, interaction_list, neighbors
 
 UNIT = Domain(0.0, 0.0, 1.0)
 POINT = KernelKind.POINT_VORTEX
+
+
+def joined(*sets):
+    """One particle set holding every given set's particles, in order."""
+    return Particles(*(np.concatenate(field) for field in zip(*map(to_arrays, sets))))
 
 
 def sorted_arrays(particles, tree):
@@ -308,7 +313,7 @@ class TestNearField:
         "n, levels, lo, hi", [(28, 3, 1, 7), (600, 3, 8, 128), (1500, 2, 129, None)]
     )
     def test_bitwise_canonical_order_across_summation_blocks(self, kind, n, levels, lo, hi):
-        particles = generate_particles("uniform_random", n, 2) + CORNERS
+        particles = joined(generate_particles("uniform_random", n, 2), CORNERS)
         tree = build_tree(particles, levels, UNIT)
         z, g, s = sorted_arrays(particles, tree)
         vel, pairs = near_field(tree, z, g, s, kind)
@@ -320,7 +325,7 @@ class TestNearField:
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_bitwise_external_targets_with_empty_neighborhoods(self, kind):
         # sources in the lower-left quarter only: most target leaves see none
-        particles = generate_particles("uniform_random", 70, 3, Domain(0.0, 0.0, 0.3)) + CORNERS[:1]
+        particles = joined(generate_particles("uniform_random", 70, 3, Domain(0.0, 0.0, 0.3)), CORNERS[:1])
         tree = build_tree(particles, 4, UNIT)
         z, g, s = sorted_arrays(particles, tree)
         gx, gy = np.meshgrid(np.linspace(0.0, 1.0, 23), np.linspace(0.0, 1.0, 23))
@@ -418,7 +423,7 @@ class TestEvaluate:
         ],
     )
     def test_rejects_bad_particle_naming_its_index(self, field, value, kind, domain):
-        particles = generate_particles("uniform_random", 201, 6)
+        particles = particle_list(generate_particles("uniform_random", 201, 6))
         particles[7] = dataclasses.replace(particles[7], **{field: value})
         with pytest.raises(ValueError, match="particle 7:"):
             evaluate(particles, FmmConfig(3, 6, kind), domain)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import positions_of, random_particles
+from conftest import particle_list, positions_of, random_particles
 from vortexfmm.kernels import _BLOCK, ComplexVelocity, KernelKind, kernel_eval, velocity_direct
-from vortexfmm.model import Particle, generate_particles
+from vortexfmm.model import Particle, Particles, generate_particles, to_arrays
 
 POINT = KernelKind.POINT_VORTEX
 BLOB = KernelKind.GAUSSIAN_BLOB
@@ -54,7 +54,7 @@ def test_matches_scalar_double_loop_bit_for_bit():
     for i, target in enumerate(pos):
         u = 0.0
         v = 0.0
-        for src in particles:
+        for src in particle_list(particles):
             du, dv = kernel_eval((target[0], target[1]), src, POINT)
             u += du
             v += dv
@@ -69,7 +69,7 @@ def scalar_direct(targets, sources, kind):
     out = np.zeros((len(targets), 2))
     for i, (tx, ty) in enumerate(targets.tolist()):
         u = v = 0.0
-        for src in sources:
+        for src in particle_list(sources):
             if kind is POINT:
                 du, dv = kernel_eval((tx, ty), src, POINT)
             else:
@@ -94,7 +94,7 @@ def scalar_direct(targets, sources, kind):
 def test_blocked_oracle_matches_scalar_double_loop_bit_for_bit(kind, m, n):
     sources = generate_particles("uniform_random", n, 9, sigma=0.05)
     targets = np.random.default_rng(m).uniform(size=(m, 2))
-    targets[0] = sources[-1].x, sources[-1].y  # a coincident pair
+    targets[0] = sources.x[-1], sources.y[-1]  # a coincident pair
     assert np.array_equal(velocity_direct(targets, sources, kind), scalar_direct(targets, sources, kind))
 
 
@@ -112,7 +112,7 @@ def test_relabeling_sources_changes_only_roundoff(rng):
     pos = positions_of(particles)
     v1 = velocity_direct(pos, particles, POINT)
     term_scale = np.zeros(len(pos))
-    for src in particles:
+    for src in particle_list(particles):
         d2 = (pos[:, 0] - src.x) ** 2 + (pos[:, 1] - src.y) ** 2
         with np.errstate(divide="ignore"):
             mag = np.where(d2 > 0, abs(src.gamma) / (TWO_PI * np.sqrt(d2)), 0.0)
@@ -120,7 +120,7 @@ def test_relabeling_sources_changes_only_roundoff(rng):
     bound = 2 * len(particles) * np.finfo(float).eps * term_scale
     for _ in range(5):
         perm = rng.permutation(len(particles))
-        v2 = velocity_direct(pos, [particles[i] for i in perm], POINT)
+        v2 = velocity_direct(pos, Particles(*(field[perm] for field in to_arrays(particles))), POINT)
         assert np.all(np.abs(v2 - v1).max(axis=1) <= bound)
     # identical ordering is exactly reproducible
     v3 = velocity_direct(pos, particles, POINT)
@@ -129,7 +129,7 @@ def test_relabeling_sources_changes_only_roundoff(rng):
 
 def test_circulation_scaling_by_two_is_exact(rng):
     particles = random_particles(rng, 40)
-    scaled = [Particle(p.x, p.y, 2.0 * p.gamma, p.sigma) for p in particles]
+    scaled = Particles(particles.x, particles.y, 2.0 * particles.gamma, particles.sigma)
     pos = positions_of(particles)
     assert np.array_equal(
         velocity_direct(pos, scaled, POINT), 2.0 * velocity_direct(pos, particles, POINT)
@@ -140,7 +140,7 @@ def test_circulation_scaling_by_two_is_exact(rng):
 @given(c=st.floats(min_value=-8.0, max_value=8.0).filter(lambda v: abs(v) > 1e-3))
 def test_circulation_linearity(c):
     particles = generate_particles("uniform_random", 30, 9)
-    scaled = [Particle(p.x, p.y, c * p.gamma, p.sigma) for p in particles]
+    scaled = Particles(particles.x, particles.y, c * particles.gamma, particles.sigma)
     pos = positions_of(particles)
     v1 = velocity_direct(pos, particles, POINT)
     v2 = velocity_direct(pos, scaled, POINT)

@@ -62,8 +62,8 @@ class TestBuildTree:
         particles = generate_particles("uniform_random", 1000, 1)
         tree = build_tree(particles, 4, UNIT)
         assert tree.counts[4].sum() == 1000
-        for i, p in enumerate(particles):
-            assert tree.leaf_cell_of(i) == cell_index((p.x, p.y), 4, UNIT)
+        for i, (x, y) in enumerate(zip(particles.x.tolist(), particles.y.tolist())):
+            assert tree.leaf_cell_of(i) == cell_index((x, y), 4, UNIT)
 
     def test_boundary_column_floor_rule(self):
         particles = [Particle(0.5, y, 1.0, 0.01) for y in (0.1, 0.4, 0.9)]
