@@ -2,8 +2,8 @@
 
 A particle is a regularized point vortex: a position, a signed circulation
 ``gamma``, and a Gaussian core radius ``sigma``; every layer takes a set of
-them as one :class:`Particles`.  Generators produce seeded,
-fully reproducible particle sets on a square domain; the three shipped
+them as one :class:`Particles`.  Generators produce seeded, fully
+reproducible particle sets on a square domain; the three shipped
 distributions are study stand-ins (uniform mixed-sign circulation, a single
 all-positive Gaussian patch, and a pair of opposite-sign patches).
 """

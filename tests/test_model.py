@@ -53,7 +53,8 @@ def test_uniform_stream_layout(n, seed):
 
 def some_fields(n=12) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(31)
-    return {"x": rng.uniform(size=n), "y": rng.uniform(size=n), "gamma": rng.uniform(-1, 1, n), "sigma": np.full(n, 0.01)}
+    xy = rng.uniform(size=(2, n))
+    return {"x": xy[0], "y": xy[1], "gamma": rng.uniform(-1, 1, n), "sigma": np.full(n, 0.01)}
 
 
 @pytest.mark.parametrize(
@@ -72,7 +73,13 @@ def test_particles_reject_bad_values_naming_the_index(field, value):
 
 @pytest.mark.parametrize(
     "shapes",
-    [((12,), (12,), (11,), (12,)), ((12,), (13,), (12,), (12,)), ((12, 2),) * 4, ((12, 2), (12,), (12,), (12,)), ((),) * 4],
+    [
+        ((12,), (12,), (11,), (12,)),
+        ((12,), (13,), (12,), (12,)),
+        ((12, 2),) * 4,
+        ((12, 2), (12,), (12,), (12,)),
+        ((),) * 4,
+    ],
 )
 def test_particles_reject_fields_not_1d_of_one_length(shapes):
     with pytest.raises(ValueError, match="1-D arrays of one length"):
