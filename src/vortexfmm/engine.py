@@ -23,20 +23,21 @@ Passes, in order:
 Every coefficient is stored in units of its own cell side h: a multipole as
 a_k / h^(k+1), so that P2M sums (Gamma / h) ((z - c) / h)^k, and a local as
 L_m h^m, evaluated at (z - c) / h.  A translation then depends only on the
-order and on the offset in cell sides: M2M and L2L on one of 4 child
-quadrants, M2L on one of the 40 offsets (dx, dy) that a cell's interaction
-list spans (the children of its parent's neighbors minus its own
-neighbors).  ``_translations`` builds these 48 matrices once per order for
-every level, run and domain, and no power of a physical length can over- or
-underflow in the passes.  On a domain whose side is a power of two every
-scaling is exact, so results are bit for bit those of physical units.
+order and on the offset in cell sides, so ``_translations`` builds each once
+per order for every level, run and domain, and no power of a physical length
+can over- or underflow in the passes.  On a domain whose side is a power of
+two every scaling is exact, so results are bit for bit those of physical units.
 
-Each of the 40 offset groups of a level is a single matrix product over the
-stacked source coefficients.  Per destination the groups apply in row-major
-offset order, which pins the floating-point accumulation order and makes
-results bitwise reproducible.  Grouping the destinations differently can
-still move last bits, since BLAS rounds each row of a product according to
-the batch it is computed in.
+``_interaction_stencil`` alone enumerates interaction-list geometry.  A cell's
+list (its parent's neighbors' children minus its own neighbors) spans 27 of
+40 offsets, fixed by its parity class (ix mod 2, iy mod 2).  So M2L is one
+matrix product per level and class against the class's 27 matrices stacked,
+in chunks of at most ``_CHUNK_BYTES`` (1 MiB) of gathered coefficients, and
+the budgets sum over the same stencil.  Classes once cost a matrix set per
+class and level; stacked from the table per order they cost no builds.  The
+chunking is fixed, so runs are bitwise repeatable, but BLAS orders each cell's
+27-term sum itself: last bits differ from a per-offset accumulation (within
+1e-15 of the largest speed).
 """
 
 from __future__ import annotations
@@ -91,57 +92,65 @@ class FmmRunStats:
     sigma_guard_ok: bool = True
 
 
-def _interaction_groups(level: int):
-    """Yield ``(dx, dy, dest_ids, src_ids)`` for every interaction-list offset at ``level``.
+#: Bytes of gathered source coefficients per M2L product (~60 rows at p = 40)
+_CHUNK_BYTES = 2**20
 
-    A cell's interaction list is the children of its parent's neighbors minus
-    its own neighbors: the cells at offsets (dx, dy) in [-3, 3]^2 with
-    max(|dx|, |dy|) >= 2 whose parent is adjacent to the cell's parent.  Each
-    of the 40 offsets is one group, in row-major order, holding every
-    row-major cell whose source at that offset is in bounds and in its list;
-    empty sources are not filtered.  A cell thus meets its 27 (fewer at the
-    edges) offsets in row-major order whichever group it shares.
+
+@functools.lru_cache(maxsize=None)
+def _interaction_stencil(level: int) -> tuple:
+    """Per parity class (ix mod 2, iy mod 2), row-major: ``(offsets, dest, src)``.
+
+    ``offsets`` are the class's 27 (dx, dy), row-major: dx from -2 - ix mod 2
+    to 3 - ix mod 2, likewise dy, minus those with max(|dx|, |dy|) < 2.
+    ``dest`` holds its cells, row-major, and the read-only (len(dest) x 27)
+    ``src`` each one's source at every offset, -1 outside the domain.
     """
     m = 2**level
-    dest = np.arange(m * m)
-    iy, ix = np.divmod(dest, m)
-    for dy in range(-3, 4):
-        for dx in range(-3, 4):
-            if max(abs(dx), abs(dy)) < 2:
-                continue
-            sx, sy = ix + dx, iy + dy
-            ok = (sx >= 0) & (sx < m) & (sy >= 0) & (sy < m)
-            ok &= (np.abs(sx // 2 - ix // 2) <= 1) & (np.abs(sy // 2 - iy // 2) <= 1)
-            yield dx, dy, dest[ok], sy[ok] * m + sx[ok]
+    classes = []
+    for cy, cx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        offsets = tuple((dx, dy) for dy in range(-2 - cy, 4 - cy) for dx in range(-2 - cx, 4 - cx)
+                        if max(abs(dx), abs(dy)) >= 2)
+        iy, ix = np.ogrid[cy:m:2, cx:m:2]
+        sx, sy = ix[..., None] + [dx for dx, _ in offsets], iy[..., None] + [dy for _, dy in offsets]
+        src = np.where((sx >= 0) & (sx < m) & (sy >= 0) & (sy < m), sy * m + sx, -1).reshape(-1, 27)
+        dest = (iy * m + ix).ravel()
+        dest.setflags(write=False)
+        src.setflags(write=False)
+        classes.append((offsets, dest, src))
+    return tuple(classes)
 
 
-def _quadrant_groups(level: int):
-    """Yield ``(child center - parent center in child sides, parent ids, child ids)``
-    per child quadrant at ``level``, row-major."""
+@functools.lru_cache(maxsize=None)
+def _quadrant_groups(level: int) -> tuple:
+    """``(child center - parent center in child sides, parent ids, child ids)``
+    per child quadrant at ``level``, row-major, as read-only arrays."""
     m = 2**level
-    mp = m // 2
-    JX, JY = np.meshgrid(np.arange(mp), np.arange(mp))
-    parents = (JY * mp + JX).ravel()
-    for cy in (0, 1):
-        for cx in (0, 1):
-            yield (cx - 0.5) + 1j * (cy - 0.5), parents, ((2 * JY + cy) * m + 2 * JX + cx).ravel()
+    JX, JY = np.meshgrid(np.arange(m // 2), np.arange(m // 2))
+    parents = (JY * (m // 2) + JX).ravel()
+    children = [((2 * JY + cy) * m + 2 * JX + cx).ravel() for cy in (0, 1) for cx in (0, 1)]
+    for ids in (parents, *children):
+        ids.setflags(write=False)
+    return tuple(((k % 2 - 0.5) + 1j * (k // 2 - 0.5), parents, ids) for k, ids in enumerate(children))
 
 
 @functools.lru_cache(maxsize=None)
 def _translations(p: int) -> tuple[dict, dict, dict]:
     """Read-only order-``p`` (M2M, M2L, L2L) matrices on cell-side coefficients.
 
-    M2M and L2L are keyed by the ``_quadrant_groups`` shift, M2L by the
-    ``_interaction_groups`` offset.  A parent's side is twice its child's, so
-    M2M row m carries 2^-(m+1) and L2L column m carries 2^-m.
+    M2M and L2L are keyed by the ``_quadrant_groups`` shift.  M2L is one
+    (27(p+1) x (p+1)) matrix per ``_interaction_stencil`` class, its offsets'
+    transposed matrices stacked; each of the 40 is built once.  A parent's
+    side is twice its child's, so M2M row m carries 2^-(m+1), L2L column m 2^-m.
     """
     halves = 0.5 ** np.arange(p + 1)
     shifts = [shift for shift, _, _ in _quadrant_groups(1)]
     m2m = {s: expansions.multipole_shift_matrix(s, p, p) * (0.5 * halves)[:, None] for s in shifts}
     l2l = {s: expansions.local_shift_matrix(s, p, p) * halves for s in shifts}
+    stencil = _interaction_stencil(2)
     # local center minus source center: the source sits at the offset
-    m2l = {(dx, dy): expansions.m2l_matrix(-(dx + 1j * dy), p, p) for dx, dy, _, _ in _interaction_groups(2)}
-    for matrix in (*m2m.values(), *m2l.values(), *l2l.values()):
+    by_offset = {o: expansions.m2l_matrix(-complex(*o), p, p) for o in sorted({o for c in stencil for o in c[0]})}
+    m2l = tuple(np.vstack([by_offset[o].T for o in offsets]) for offsets, _, _ in stencil)
+    for matrix in (*m2m.values(), *m2l, *l2l.values()):
         matrix.setflags(write=False)
     return m2m, m2l, l2l
 
@@ -180,28 +189,30 @@ def upward_pass(tree: Tree, z_sorted: np.ndarray, gamma_sorted: np.ndarray, orde
 
 
 def translate_pass(tree: Tree, multipoles: list, order: int) -> tuple[list, int]:
-    """Accumulate interaction-list translations into local expansions.
+    """Per-level local expansions (levels 2..leaf, in cell-side units) from
+    every cell's interaction list, and the number of translations from
+    nonempty sources (empty ones add zero).
 
-    Every cell receives contributions from the nonempty members of its
-    interaction list; empty sources are skipped (their expansion is zero).
-    Returns the per-level local coefficient arrays (levels 2..leaf, in
-    cell-side units) and the number of translations performed.
+    Per level and parity class, one row per cell holds its 27 gathered source
+    expansions (zero outside the domain), and chunks of rows are multiplied
+    by the class's stacked matrix.  A cell is in one class only, so its local
+    is assigned, not accumulated.
     """
     levels, p = tree.levels, order
     _, m2l, _ = _translations(p)
+    rows = max(1, _CHUNK_BYTES // (27 * (p + 1) * 16))
     locals_: list = [None] * (levels + 1)
     count = 0
     for level in range(2, levels + 1):
-        loc = np.zeros((4**level, p + 1), dtype=np.complex128)
+        loc = np.empty((4**level, p + 1), dtype=np.complex128)
         occupied = tree.nonempty(level)
-        for dx, dy, dest, src in _interaction_groups(level):
-            nonzero = occupied[src]
-            dest = dest[nonzero]
-            src = src[nonzero]
-            if dest.size == 0:
-                continue
-            count += dest.size
-            loc[dest] += multipoles[level][src] @ m2l[dx, dy].T
+        for (_, dest, src), stacked in zip(_interaction_stencil(level), m2l):
+            count += int(np.count_nonzero(occupied[src] & (src >= 0)))
+            for a in range(0, len(dest), rows):
+                ids = src[a:a + rows]
+                block = multipoles[level][ids]
+                block[ids < 0] = 0.0
+                loc[dest[a:a + rows]] = block.reshape(len(ids), -1) @ stacked
         locals_[level] = loc
     return locals_, count
 
@@ -256,12 +267,6 @@ def near_field(
     C-contiguous (targets x n) array, reduced with ``.sum(axis=1)``, which
     sums every row on its own.  The result is therefore bit for bit that of
     summing every target's sources separately, whatever the chunking.
-
-    Every pair's source fields are gathered by index, which the old per-leaf
-    loop, broadcasting one leaf's targets over its sources, did not need; at
-    64 or more particles per leaf in a deep tree that loop was up to about 2x
-    faster.  At the default occupancy (8 per leaf) and in shallow trees this
-    one is several times faster.
     """
     if targets is None:
         targets, zt_sorted = tree, z_sorted
@@ -325,14 +330,13 @@ def bound_budgets(tree: Tree, gamma: np.ndarray, order: int) -> np.ndarray:
     2 A rho^(p+1) / (R - 2 r) with rho = r / (R - r): the geometric tail
     A rho^(p+1) / (1 - rho) times the length 2 / (R - r).  This is the
     position-independent worst case over the cell pair.  Budgets are on |f|
-    error; velocity error budgets are these over 2 pi.
+    error; velocity error budgets are these over 2 pi.  Each cell's terms are
+    summed along its stencil row, in row-major offset order, by a sequential
+    ``cumsum``: the order of a per-offset loop, so bitwise its result.
     """
     levels, p = tree.levels, order
-    m = 2**levels
     amp = [np.zeros(0)] * (levels + 1)
-    leaf_amp = np.zeros(m * m)
-    np.add.at(leaf_amp, tree.sorted_leaf, np.abs(gamma[tree.order]))
-    amp[levels] = leaf_amp
+    amp[levels] = np.bincount(tree.sorted_leaf, np.abs(gamma[tree.order]), 4**levels)
     for level in range(levels - 1, 1, -1):
         mk = 2**level
         fine = amp[level + 1].reshape(2 * mk, 2 * mk)
@@ -343,12 +347,14 @@ def bound_budgets(tree: Tree, gamma: np.ndarray, order: int) -> np.ndarray:
         mk = 2**level
         side = tree.cell_side(level)
         radius = SQRT2 * tree.half_width(level)
-        cell_budget = np.zeros(mk * mk)
-        for dx, dy, dest, src in _interaction_groups(level):
-            dist = np.hypot(dx, dy) * side
-            rho = radius / (dist - radius)
-            factor = truncation_bound(BoundParams(1.0, rho), p) * 2.0 / (dist - radius)
-            cell_budget[dest] += amp[level][src] * factor
+        stencil = _interaction_stencil(level)
+        dist = {o: np.hypot(*o) * side for c in stencil for o in c[0]}
+        factor = {o: truncation_bound(BoundParams(1.0, radius / (d - radius)), p) * 2.0 / (d - radius)
+                  for o, d in dist.items()}
+        cell_budget = np.empty(mk * mk)
+        for offsets, dest, src in stencil:
+            terms = np.where(src < 0, 0.0, amp[level][src] * [factor[o] for o in offsets])
+            cell_budget[dest] = np.cumsum(terms, axis=1)[:, -1]
         total = cell_budget.reshape(mk, mk) + np.repeat(np.repeat(total, 2, axis=0), 2, axis=1)
 
     per_sorted = total.ravel()[tree.sorted_leaf]
@@ -400,27 +406,20 @@ def _evaluate(
                 stacklevel=3,
             )
 
-    t0 = time.perf_counter()
+    marks = [time.perf_counter()]
     multipoles = upward_pass(tree, z_sorted, gamma_sorted, config.order)
-    stats.t_upward = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    marks.append(time.perf_counter())
     locals_, stats.m2l_count = translate_pass(tree, multipoles, config.order)
-    stats.t_m2l = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    marks.append(time.perf_counter())
     downward_pass(tree, locals_)
-    stats.t_downward = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    marks.append(time.perf_counter())
     vel_sorted = expansions.f_to_velocity(far_field(at, locals_, zt_sorted))
-    stats.t_eval = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    marks.append(time.perf_counter())
     near_vel, stats.near_pair_count = near_field(
         tree, z_sorted, gamma_sorted, sigma_sorted, config.kernel, at, zt_sorted
     )
-    stats.t_near = time.perf_counter() - t0
+    marks.append(time.perf_counter())
+    stats.t_upward, stats.t_m2l, stats.t_downward, stats.t_eval, stats.t_near = np.diff(marks).tolist()
 
     vel_sorted = vel_sorted + near_vel
     velocities = np.empty_like(vel_sorted)

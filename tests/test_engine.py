@@ -11,7 +11,8 @@ from vortexfmm import expansions
 from vortexfmm.engine import (
     FmmConfig,
     _evaluate,
-    _interaction_groups,
+    _interaction_stencil,
+    _quadrant_groups,
     _translations,
     bound_budgets,
     downward_pass,
@@ -72,6 +73,39 @@ def canonical_near(tree, z, g, s, kind, target_tree=None, zt=None):
             c = c * (1.0 - np.exp(-r2 / (2.0 * s[src] * s[src])))
         vel[i] = (-c * dy).sum(), (c * dx).sum()
     return vel, pairs + int(sizes.sum()), sizes
+
+
+def per_offset_budgets(tree, gamma, p):
+    """``bound_budgets`` as a loop over the 40 offsets, each adding its
+    in-domain, parent-adjacent sources' terms into every cell in turn."""
+    levels = tree.levels
+    amp = [None] * (levels + 1)
+    amp[levels] = np.zeros(4**levels)
+    np.add.at(amp[levels], tree.sorted_leaf, np.abs(gamma[tree.order]))
+    for level in range(levels - 1, 1, -1):
+        fine = amp[level + 1].reshape(2**(level + 1), 2**(level + 1))
+        amp[level] = (fine[0::2, 0::2] + fine[0::2, 1::2] + fine[1::2, 0::2] + fine[1::2, 1::2]).ravel()
+    total = np.zeros((2, 2))
+    for level in range(2, levels + 1):
+        m = 2**level
+        radius = math.sqrt(2) * tree.half_width(level)
+        iy, ix = np.divmod(np.arange(m * m), m)
+        cell_budget = np.zeros(m * m)
+        for dy in range(-3, 4):
+            for dx in range(-3, 4):
+                if max(abs(dx), abs(dy)) < 2:
+                    continue
+                sx, sy = ix + dx, iy + dy
+                ok = (sx >= 0) & (sx < m) & (sy >= 0) & (sy < m)
+                ok &= (np.abs(sx // 2 - ix // 2) <= 1) & (np.abs(sy // 2 - iy // 2) <= 1)
+                dist = np.hypot(dx, dy) * tree.cell_side(level)
+                rho = radius / (dist - radius)
+                factor = truncation_bound(BoundParams(1.0, rho), p) * 2.0 / (dist - radius)
+                cell_budget[ok] += amp[level][sy[ok] * m + sx[ok]] * factor
+        total = cell_budget.reshape(m, m) + np.repeat(np.repeat(total, 2, axis=0), 2, axis=1)
+    out = np.empty(len(gamma))
+    out[tree.order] = total.ravel()[tree.sorted_leaf]
+    return out
 
 
 #: one particle in each corner leaf (max edges clamp inward)
@@ -193,25 +227,84 @@ class TestTranslatePass:
         assert abs(eval_local(exp, center) - exact) <= worst
 
     @pytest.mark.parametrize("level", [2, 3, 4, 5])
-    def test_one_group_per_offset_in_row_major_order(self, level):
-        offsets = [(dx, dy) for dx, dy, _, _ in _interaction_groups(level)]
-        assert len(set(offsets)) == len(offsets)
-        assert offsets == sorted(offsets, key=lambda o: (o[1], o[0]))
-        assert all(max(abs(dx), abs(dy)) in (2, 3) for dx, dy in offsets)
+    def test_stencil_offsets_row_major_with_sentinels_outside_domain(self, level):
+        m = 2**level
+        for offsets, dest, src in _interaction_stencil(level):
+            assert len(set(offsets)) == len(offsets) == 27
+            assert list(offsets) == sorted(offsets, key=lambda o: (o[1], o[0]))
+            assert all(max(abs(dx), abs(dy)) in (2, 3) for dx, dy in offsets)
+            assert src.shape == (len(dest), 27)
+            for d, row in zip(dest.tolist(), src.tolist()):
+                iy, ix = divmod(d, m)
+                for (dx, dy), s in zip(offsets, row):
+                    inside = 0 <= ix + dx < m and 0 <= iy + dy < m
+                    assert s == ((iy + dy) * m + ix + dx if inside else -1)
 
     @pytest.mark.parametrize("level", [2, 3, 4, 5])
     def test_groups_deliver_each_interaction_list_in_order(self, level):
-        received = {}
-        for dx, dy, dest, src in _interaction_groups(level):
-            assert np.array_equal(src, dest + dy * 2**level + dx)
-            for d, s in zip(dest.tolist(), src.tolist()):
-                received.setdefault(d, []).append(s)
+        # each destination's non-sentinel stencil row is its interaction list
         m = 2**level
+        received = {}
+        for _, dest, src in _interaction_stencil(level):
+            for d, row in zip(dest.tolist(), src.tolist()):
+                received[d] = [s for s in row if s >= 0]
         for iy in range(m):
             for ix in range(m):
                 cell = CellId(level, ix, iy)
                 expected = [linear_id(c) for c in interaction_list(cell)]
-                assert received.get(linear_id(cell), []) == expected, cell
+                assert received[linear_id(cell)] == expected, cell
+
+    @pytest.mark.parametrize("level", [2, 3, 6])
+    def test_every_cell_in_exactly_one_parity_class(self, level):
+        m = 2**level
+        classes = _interaction_stencil(level)
+        cells = np.concatenate([dest for _, dest, _ in classes])
+        assert np.array_equal(np.sort(cells), np.arange(m * m))
+        for (cy, cx), (_, dest, _) in zip(((0, 0), (0, 1), (1, 0), (1, 1)), classes):
+            assert np.all(dest % m % 2 == cx) and np.all(dest // m % 2 == cy)
+            assert np.all(np.diff(dest) > 0)
+
+    def test_cached_geometry_and_matrices_are_read_only(self):
+        arrays = [a for _, dest, src in _interaction_stencil(4) for a in (dest, src)]
+        arrays += [a for _, parents, children in _quadrant_groups(4) for a in (parents, children)]
+        m2m, m2l, l2l = _translations(5)
+        arrays += [*m2m.values(), *m2l, *l2l.values()]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array.flat[0] = 1
+        assert _interaction_stencil(4) is _interaction_stencil(4)
+        assert _quadrant_groups(4) is _quadrant_groups(4)
+
+    @pytest.mark.parametrize("levels", [2, 5])
+    def test_matches_per_cell_reference(self, levels):
+        # every cell's local is the sum of expansions.m2l_matrix over its
+        # interaction_list, applied to the nonempty sources one at a time
+        particles = generate_particles("uniform_random", 1500, 8)
+        tree = build_tree(particles, levels, UNIT)
+        z, g, _ = sorted_arrays(particles, tree)
+        p = 9
+        mult = upward_pass(tree, z, g, p)
+        locals_, count = translate_pass(tree, mult, p)
+        matrices = {}
+        expected_count = 0
+        for level in range(2, levels + 1):
+            occupied = tree.nonempty(level)
+            ref = np.zeros_like(mult[level])
+            for d in range(4**level):
+                cell = CellId(level, d % 2**level, d // 2**level)
+                for source in interaction_list(cell):
+                    s = linear_id(source)
+                    if not occupied[s]:
+                        continue
+                    t = complex(cell.ix - source.ix, cell.iy - source.iy)
+                    if t not in matrices:
+                        matrices[t] = expansions.m2l_matrix(t, p, p)
+                    ref[d] += matrices[t] @ mult[level][s]
+                    expected_count += 1
+            # relative to each coefficient's largest size on the level: single
+            # coefficients can cancel, and BLAS orders each 27-term sum itself
+            assert np.all(np.abs(locals_[level] - ref) <= 1e-14 * np.abs(ref).max(axis=0))
+        assert count == expected_count
 
     def test_each_translation_matrix_built_once_per_order(self, monkeypatch):
         build = expansions.m2l_matrix
@@ -450,6 +543,15 @@ class TestBoundBudgets:
         direct = velocity_direct(positions_of(particles), particles, POINT)
         budgets = bound_budgets(build_tree(particles, levels, UNIT), to_arrays(particles)[2], p)
         assert np.all(np.hypot(*(vel - direct).T) <= budgets / TWO_PI)
+
+    @pytest.mark.parametrize("domain", [UNIT, Domain(-2.0, -1.0, 3.0)])
+    @pytest.mark.parametrize("levels, order", [(2, 4), (5, 7), (6, 20)])
+    def test_bitwise_equal_to_per_offset_loop(self, domain, levels, order):
+        particles = generate_particles("uniform_random", 3000, 4, domain)
+        tree = build_tree(particles, levels, domain)
+        gamma = to_arrays(particles)[2]
+        got = bound_budgets(tree, gamma, order)
+        assert got.tobytes() == per_offset_budgets(tree, gamma, order).tobytes()
 
     def test_budgets_positive_and_in_original_order(self):
         particles = generate_particles("uniform_random", 100, 5)
