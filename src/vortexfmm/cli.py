@@ -109,6 +109,12 @@ def _cmd_timing(args) -> int:
     print(harness.TIMING_HEADER)
     for row in rows:
         print(row.csv_row())
+    crossover = next((r.n for r in rows if r.t_fmm_ms < r.t_direct_ms), None)
+    if crossover is None:
+        print("no crossover in the scanned range")
+    else:
+        print(f"fast evaluation wins from n = {crossover} on "
+              f"(direct timings extrapolated above n = {args.direct_cutoff})")
     print(f"wrote {args.out}")
     return 0
 

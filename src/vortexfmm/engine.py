@@ -38,6 +38,11 @@ class and level; stacked from the table per order they cost no builds.  The
 chunking is fixed, so runs are bitwise repeatable, but BLAS orders each cell's
 27-term sum itself: last bits differ from a per-offset accumulation (within
 1e-15 of the largest speed).
+
+``quadtree._quadrants`` alone maps parents to children: a level's four child
+quadrants are writable views shaped like its parent level.  M2M sums one
+product per quadrant, L2L adds the parent's shifted locals into each quadrant
+in place, and the budgets' amplitudes go up and their totals down the same way.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from . import expansions
 from .expansions import BoundParams, truncation_bound
 from .kernels import _BLOCK, KernelKind, _pair_velocity
 from .model import Domain, Particle, Particles, enclosing_domain
-from .quadtree import Tree, _leaf_tree, build_tree
+from .quadtree import Tree, _leaf_tree, _quadrants, build_tree
 
 SQRT2 = np.sqrt(2.0)
 
@@ -120,37 +125,28 @@ def _interaction_stencil(level: int) -> tuple:
     return tuple(classes)
 
 
-@functools.lru_cache(maxsize=None)
-def _quadrant_groups(level: int) -> tuple:
-    """``(child center - parent center in child sides, parent ids, child ids)``
-    per child quadrant at ``level``, row-major, as read-only arrays."""
-    m = 2**level
-    JX, JY = np.meshgrid(np.arange(m // 2), np.arange(m // 2))
-    parents = (JY * (m // 2) + JX).ravel()
-    children = [((2 * JY + cy) * m + 2 * JX + cx).ravel() for cy in (0, 1) for cx in (0, 1)]
-    for ids in (parents, *children):
-        ids.setflags(write=False)
-    return tuple(((k % 2 - 0.5) + 1j * (k // 2 - 0.5), parents, ids) for k, ids in enumerate(children))
+#: Child center minus parent center, in child sides, per ``_quadrants`` quadrant
+_SHIFTS = tuple((cx - 0.5) + 1j * (cy - 0.5) for cy in (0, 1) for cx in (0, 1))
 
 
 @functools.lru_cache(maxsize=None)
-def _translations(p: int) -> tuple[dict, dict, dict]:
+def _translations(p: int) -> tuple[tuple, tuple, tuple]:
     """Read-only order-``p`` (M2M, M2L, L2L) matrices on cell-side coefficients.
 
-    M2M and L2L are keyed by the ``_quadrant_groups`` shift.  M2L is one
-    (27(p+1) x (p+1)) matrix per ``_interaction_stencil`` class, its offsets'
-    transposed matrices stacked; each of the 40 is built once.  A parent's
-    side is twice its child's, so M2M row m carries 2^-(m+1), L2L column m 2^-m.
+    M2M and L2L are 4-tuples indexed by ``_quadrants`` quadrant, built for the
+    ``_SHIFTS``.  M2L is one (27(p+1) x (p+1)) matrix per
+    ``_interaction_stencil`` class, its offsets' transposed matrices stacked;
+    each of the 40 is built once.  A parent's side is twice its child's, so
+    M2M row m carries 2^-(m+1), L2L column m 2^-m.
     """
     halves = 0.5 ** np.arange(p + 1)
-    shifts = [shift for shift, _, _ in _quadrant_groups(1)]
-    m2m = {s: expansions.multipole_shift_matrix(s, p, p) * (0.5 * halves)[:, None] for s in shifts}
-    l2l = {s: expansions.local_shift_matrix(s, p, p) * halves for s in shifts}
+    m2m = tuple(expansions.multipole_shift_matrix(s, p, p) * (0.5 * halves)[:, None] for s in _SHIFTS)
+    l2l = tuple(expansions.local_shift_matrix(s, p, p) * halves for s in _SHIFTS)
     stencil = _interaction_stencil(2)
     # local center minus source center: the source sits at the offset
     by_offset = {o: expansions.m2l_matrix(-complex(*o), p, p) for o in sorted({o for c in stencil for o in c[0]})}
     m2l = tuple(np.vstack([by_offset[o].T for o in offsets]) for offsets, _, _ in stencil)
-    for matrix in (*m2m.values(), *m2l, *l2l.values()):
+    for matrix in (*m2m, *m2l, *l2l):
         matrix.setflags(write=False)
     return m2m, m2l, l2l
 
@@ -181,10 +177,8 @@ def upward_pass(tree: Tree, z_sorted: np.ndarray, gamma_sorted: np.ndarray, orde
     mult: list = [None] * (levels + 1)
     mult[levels] = leaf_mult
     for level in range(levels, 2, -1):
-        coarse = np.zeros((4 ** (level - 1), p + 1), dtype=np.complex128)
-        for shift, parents, children in _quadrant_groups(level):
-            coarse[parents] += mult[level][children] @ m2m[shift].T
-        mult[level - 1] = coarse
+        quadrants = _quadrants(mult[level], level)
+        mult[level - 1] = sum(q.reshape(-1, p + 1) @ m.T for q, m in zip(quadrants, m2m))
     return mult
 
 
@@ -221,8 +215,8 @@ def downward_pass(tree: Tree, locals_: list) -> list:
     """Add each parent's completed local expansion into its children (levels 3..leaf)."""
     _, _, l2l = _translations(locals_[tree.levels].shape[1] - 1)
     for level in range(3, tree.levels + 1):
-        for shift, parents, children in _quadrant_groups(level):
-            locals_[level][children] += locals_[level - 1][parents] @ l2l[shift].T
+        for q, matrix in zip(_quadrants(locals_[level], level), l2l):
+            q += (locals_[level - 1] @ matrix.T).reshape(q.shape)
     return locals_
 
 
@@ -333,31 +327,32 @@ def bound_budgets(tree: Tree, gamma: np.ndarray, order: int) -> np.ndarray:
     error; velocity error budgets are these over 2 pi.  Each cell's terms are
     summed along its stencil row, in row-major offset order, by a sequential
     ``cumsum``: the order of a per-offset loop, so bitwise its result.
+    Leaf amplitudes (summed |Gamma|) are summed up the tree, and each level's
+    totals added down into its children, through the ``_quadrants`` views.
     """
     levels, p = tree.levels, order
     amp = [np.zeros(0)] * (levels + 1)
     amp[levels] = np.bincount(tree.sorted_leaf, np.abs(gamma[tree.order]), 4**levels)
-    for level in range(levels - 1, 1, -1):
-        mk = 2**level
-        fine = amp[level + 1].reshape(2 * mk, 2 * mk)
-        amp[level] = (fine[0::2, 0::2] + fine[0::2, 1::2] + fine[1::2, 0::2] + fine[1::2, 1::2]).ravel()
+    for level in range(levels, 2, -1):
+        amp[level - 1] = sum(_quadrants(amp[level], level)).ravel()
 
-    total = np.zeros((2, 2))
+    total = np.zeros(4)
     for level in range(2, levels + 1):
-        mk = 2**level
         side = tree.cell_side(level)
         radius = SQRT2 * tree.half_width(level)
         stencil = _interaction_stencil(level)
         dist = {o: np.hypot(*o) * side for c in stencil for o in c[0]}
         factor = {o: truncation_bound(BoundParams(1.0, radius / (d - radius)), p) * 2.0 / (d - radius)
                   for o, d in dist.items()}
-        cell_budget = np.empty(mk * mk)
+        cell_budget = np.empty(4**level)
         for offsets, dest, src in stencil:
             terms = np.where(src < 0, 0.0, amp[level][src] * [factor[o] for o in offsets])
             cell_budget[dest] = np.cumsum(terms, axis=1)[:, -1]
-        total = cell_budget.reshape(mk, mk) + np.repeat(np.repeat(total, 2, axis=0), 2, axis=1)
+        for q in _quadrants(cell_budget, level):
+            q += total.reshape(q.shape)
+        total = cell_budget
 
-    per_sorted = total.ravel()[tree.sorted_leaf]
+    per_sorted = total[tree.sorted_leaf]
     out = np.empty(len(gamma))
     out[tree.order] = per_sorted
     return out

@@ -10,7 +10,6 @@ on f.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -94,10 +93,14 @@ class ErrorMap:
     mean_err: np.ndarray
 
 
-def spatial_map(report: ErrorReport, domain: Domain, grid_dim: int) -> ErrorMap:
-    """Bin per-target errors onto a grid; bin assignment follows the quadtree floor rule."""
+def _check_grid(grid_dim: int) -> None:
     if grid_dim < 1:
         raise ValueError(f"grid_dim must be >= 1, got {grid_dim}")
+
+
+def spatial_map(report: ErrorReport, domain: Domain, grid_dim: int) -> ErrorMap:
+    """Bin per-target errors onto a grid; bin assignment follows the quadtree floor rule."""
+    _check_grid(grid_dim)
     g = grid_dim
     ix, iy = grid_indices(report.positions[:, 0], report.positions[:, 1], g, domain)
     counts = np.zeros((g, g), dtype=np.int64)
@@ -113,43 +116,36 @@ def spatial_map(report: ErrorReport, domain: Domain, grid_dim: int) -> ErrorMap:
     return ErrorMap(grid_dim=g, counts=counts, max_err=max_err, mean_err=mean_err)
 
 
-def bound_check(
-    report: ErrorReport, budgets: np.ndarray | None = None
-) -> list[tuple[int, float, float]]:
-    """Targets whose observed |f| error exceeds the theoretical budget.
+def bound_check(report: ErrorReport) -> list[tuple[int, float, float]]:
+    """Targets whose observed |f| error exceeds the report's budget.
 
     Returns (index, observed, budget) triples; an empty list means the bound
     holds everywhere.
     """
+    budgets = report.bound_budget
     if budgets is None:
-        budgets = report.bound_budget
-    if budgets is None:
-        raise ValueError("no budgets supplied and the report carries none")
-    budgets = np.asarray(budgets, dtype=np.float64)
+        raise ValueError("the report carries no budgets")
     if budgets.shape != report.f_abs_errors.shape:
         raise ValueError(f"budgets shape {budgets.shape} does not match targets")
     bad = np.flatnonzero(report.f_abs_errors > budgets)
     return [(int(i), float(report.f_abs_errors[i]), float(budgets[i])) for i in bad]
 
 
+def error_map_text(emap: ErrorMap) -> str:
+    """A map as CSV text, rows ``bin_ix,bin_iy,count,max_err,mean_err`` (row-major)."""
+    lines = ["bin_ix,bin_iy,count,max_err,mean_err"]
+    g = emap.grid_dim
+    for iy in range(g):
+        for ix in range(g):
+            count = int(emap.counts[iy, ix])
+            if count == 0:
+                lines.append(f"{ix},{iy},0,NA,NA")
+            else:
+                lines.append(f"{ix},{iy},{count},{emap.max_err[iy, ix]:.10g},{emap.mean_err[iy, ix]:.10g}")
+    return "\n".join(lines) + "\n"
+
+
 def write_error_map_csv(emap: ErrorMap, path) -> None:
-    """Write a map as CSV rows ``bin_ix,bin_iy,count,max_err,mean_err`` (row-major)."""
+    """Write :func:`error_map_text` to ``path``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_ix", "bin_iy", "count", "max_err", "mean_err"])
-        g = emap.grid_dim
-        for iy in range(g):
-            for ix in range(g):
-                count = int(emap.counts[iy, ix])
-                if count == 0:
-                    writer.writerow([ix, iy, 0, "NA", "NA"])
-                else:
-                    writer.writerow(
-                        [
-                            ix,
-                            iy,
-                            count,
-                            format(emap.max_err[iy, ix], ".10g"),
-                            format(emap.mean_err[iy, ix], ".10g"),
-                        ]
-                    )
+        fh.write(error_map_text(emap))

@@ -13,6 +13,7 @@ sigma, map_grid, oracle, out.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -30,10 +31,12 @@ from . import errors as errorlab
 from .engine import FmmConfig, _evaluate, bound_budgets, evaluate
 from .kernels import KernelKind, velocity_direct
 from .model import (
+    DISTRIBUTIONS,
     GENERATOR_ID,
     UNIT_DOMAIN,
     Domain,
     Particles,
+    _check_count,
     enclosing_domain,
     generate_particles,
     read_particles,
@@ -63,8 +66,7 @@ class SweepConfig:
     kernel: str = "point"
     sigma: float = 0.005
     map_grid: int = 8
-    oracle_mode: str = "sampled"
-    oracle_k: int | None = 200
+    oracle_k: int | None = 200  # targets of the sampled oracle; None = all
     out: str = "sweep_results.csv"
 
     @property
@@ -89,7 +91,7 @@ class SweepConfig:
             "kernel": self.kernel,
             "sigma": self.sigma,
             "map_grid": self.map_grid,
-            "oracle": self.oracle_mode if self.oracle_mode == "always" else f"sampled({self.oracle_k})",
+            "oracle": "always" if self.oracle_k is None else f"sampled({self.oracle_k})",
             "generator_id": GENERATOR_ID,
         }
 
@@ -104,8 +106,20 @@ def _parse_int_list(value: str, key: str) -> tuple[int, ...]:
     return items
 
 
+def _checked(key: str, check: Callable, *args) -> None:
+    """Run one of the checks a sweep's runs make; its ValueError becomes a ConfigError naming ``key``."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key}: {exc}") from None
+
+
 def parse_sweep_config(path) -> SweepConfig:
-    """Parse a flat key = value sweep config file."""
+    """Parse a flat key = value sweep config file; absent keys keep the ``SweepConfig`` defaults.
+
+    Every value goes through the checks its runs would make, so a bad config
+    is rejected here, before any output is written.
+    """
     raw: dict[str, str] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -125,40 +139,39 @@ def parse_sweep_config(path) -> SweepConfig:
         if key not in raw:
             raise ConfigError(f"missing required config key {key!r}")
 
-    distribution = raw.get("distribution", "uniform_random")
-    kernel = raw.get("kernel", "point")
-    if kernel not in _KERNEL_TOKENS:
-        raise ConfigError(f"config key 'kernel': expected point or gaussian, got {kernel!r}")
+    options: dict = {key: raw[key] for key in ("distribution", "kernel", "out") if key in raw}
     try:
-        sigma = float(raw.get("sigma", "0.005"))
-        map_grid = int(raw.get("map_grid", "8"))
+        options.update((key, kind(raw[key])) for key, kind in (("sigma", float), ("map_grid", int)) if key in raw)
     except ValueError as exc:
         raise ConfigError(f"config key 'sigma'/'map_grid': {exc}") from None
-
-    oracle = raw.get("oracle", "sampled(200)")
-    if oracle == "always":
-        oracle_mode, oracle_k = "always", None
-    else:
-        m = re.fullmatch(r"sampled\((\d+)\)", oracle)
+    if "oracle" in raw:
+        m = re.fullmatch(r"always|sampled\((\d+)\)", raw["oracle"])
         if not m:
-            raise ConfigError(f"config key 'oracle': expected always or sampled(k), got {oracle!r}")
-        oracle_mode, oracle_k = "sampled", int(m.group(1))
-        if oracle_k < 1:
+            raise ConfigError(f"config key 'oracle': expected always or sampled(k), got {raw['oracle']!r}")
+        options["oracle_k"] = None if m.group(1) is None else int(m.group(1))
+        if options["oracle_k"] == 0:
             raise ConfigError("config key 'oracle': sample size must be >= 1")
 
-    return SweepConfig(
+    config = SweepConfig(
         n_values=_parse_int_list(raw["n"], "n"),
         l_values=_parse_int_list(raw["levels"], "levels"),
         p_values=_parse_int_list(raw["p"], "p"),
         seeds=_parse_int_list(raw["seeds"], "seeds"),
-        distribution=distribution,
-        kernel=kernel,
-        sigma=sigma,
-        map_grid=map_grid,
-        oracle_mode=oracle_mode,
-        oracle_k=oracle_k,
-        out=raw.get("out", "sweep_results.csv"),
+        **options,
     )
+    if config.kernel not in _KERNEL_TOKENS:
+        raise ConfigError(f"config key 'kernel': expected point or gaussian, got {config.kernel!r}")
+    if config.distribution not in DISTRIBUTIONS:
+        raise ConfigError(f"config key 'distribution': expected one of {DISTRIBUTIONS}, got {config.distribution!r}")
+    for n in config.n_values:
+        _checked("'n'", _check_count, n)
+    for seed in config.seeds:
+        _checked("'seeds'", np.random.SeedSequence, seed)
+    for levels, p in itertools.product(config.l_values, config.p_values):
+        _checked("'levels'/'p'", FmmConfig(levels, p).validate)
+    _checked("'sigma'", Particles, [0.0], [0.0], [0.0], [config.sigma])
+    _checked("'map_grid'", errorlab._check_grid, config.map_grid)
+    return config
 
 
 @dataclass
@@ -180,7 +193,6 @@ class CaseResult:
     near_pair_count: int
     velocities: np.ndarray
     direct: np.ndarray
-    oracle_positions: np.ndarray
 
     def csv_row(self) -> str:
         rep = self.report
@@ -214,11 +226,14 @@ def run_case(
     kernel: str = "point",
     sigma: float = 0.005,
     domain: Domain = UNIT_DOMAIN,
-    oracle_mode: str = "always",
     oracle_k: int | None = None,
     particles: Particles | None = None,
 ) -> CaseResult:
-    """Generate (or take) particles, run the fast evaluation and the oracle, compare."""
+    """Generate (or take) particles, run the fast evaluation and the oracle, compare.
+
+    The oracle runs on ``oracle_k`` seeded targets when that is fewer than n,
+    otherwise on all of them.
+    """
     kind = _KERNEL_TOKENS[kernel]
     if particles is None:
         particles = generate_particles(distribution, n, seed, domain, sigma)
@@ -228,7 +243,7 @@ def run_case(
     positions = np.stack((particles.x, particles.y), axis=1)
     budgets = bound_budgets(tree, particles.gamma, p)
 
-    if oracle_mode == "sampled" and oracle_k is not None and oracle_k < n:
+    if oracle_k is not None and oracle_k < n:
         rng = np.random.default_rng([seed, n, levels, p, 0x0F5EED])
         sample = np.sort(rng.choice(n, size=oracle_k, replace=False))
         sampled = oracle_k
@@ -258,7 +273,6 @@ def run_case(
         near_pair_count=stats.near_pair_count,
         velocities=velocities,
         direct=direct,
-        oracle_positions=positions[sample],
     )
 
 
@@ -330,25 +344,23 @@ def run_single(
         domain = UNIT_DOMAIN
         particles = None
 
-    case = run_case(
-        n, levels, p, seed, distribution, kernel, sigma, domain, "always", None, particles
-    )
+    case = run_case(n, levels, p, seed, distribution, kernel, sigma, domain, particles=particles)
     emap = errorlab.spatial_map(case.report, domain, map_grid)
 
     vel_path = out_dir / "velocities.csv"
     rep_path = out_dir / "error_report.csv"
     map_path = out_dir / "error_map.csv"
 
+    rep = case.report
     lines = ["index,x,y,u_fmm,v_fmm,u_direct,v_direct"]
     for i in range(case.n):
-        px, py = case.oracle_positions[i]
+        px, py = rep.positions[i]
         lines.append(
             f"{i},{px:.17g},{py:.17g},{case.velocities[i, 0]:.17g},{case.velocities[i, 1]:.17g},"
             f"{case.direct[i, 0]:.17g},{case.direct[i, 1]:.17g}"
         )
     _atomic_text(vel_path, "\n".join(lines) + "\n")
 
-    rep = case.report
     lines = ["index,x,y,abs_err,f_abs_err,budget"]
     for i in range(case.n):
         px, py = rep.positions[i]
@@ -357,11 +369,7 @@ def run_single(
             f"{i},{px:.17g},{py:.17g},{rep.abs_errors[i]:.10g},{rep.f_abs_errors[i]:.10g},{budget:.10g}"
         )
     _atomic_text(rep_path, "\n".join(lines) + "\n")
-
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix="error_map", suffix=".tmp")
-    os.close(fd)
-    errorlab.write_error_map_csv(emap, tmp)
-    os.replace(tmp, map_path)
+    _atomic_text(map_path, errorlab.error_map_text(emap))
 
     return SingleSummary(
         max_abs=rep.max_abs,
@@ -463,17 +471,15 @@ def run_sweep(
                 config.kernel,
                 config.sigma,
                 UNIT_DOMAIN,
-                config.oracle_mode,
                 config.oracle_k,
             )
+            # the map goes first: a row marks its tuple done, map included
+            if write_maps:
+                emap = errorlab.spatial_map(case.report, UNIT_DOMAIN, config.map_grid)
+                _atomic_text(maps_dir / f"map_n{n}_l{lev}_p{p}_s{seed}.csv", errorlab.error_map_text(emap))
             fh.write(case.csv_row() + "\n")
             fh.flush()
             computed += 1
-            if write_maps:
-                emap = errorlab.spatial_map(case.report, UNIT_DOMAIN, config.map_grid)
-                errorlab.write_error_map_csv(
-                    emap, maps_dir / f"map_n{n}_l{lev}_p{p}_s{seed}.csv"
-                )
             if progress is not None:
                 progress(f"[{computed}] n={n} l={lev} p={p} seed={seed} max_rel={case.report.max_rel:.3e}")
     return out, computed

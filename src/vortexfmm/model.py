@@ -106,6 +106,11 @@ class Domain:
 UNIT_DOMAIN = Domain(0.0, 0.0, 1.0)
 
 
+def _check_count(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"particle count must be >= 1, got {n}")
+
+
 def generate_particles(
     distribution: str,
     n: int,
@@ -130,8 +135,7 @@ def generate_particles(
         superposition of two such patches of opposite sign centered at
         (1/4, 1/2) and (3/4, 1/2) of the domain; net circulation near zero.
     """
-    if n < 1:
-        raise ValueError(f"particle count must be >= 1, got {n}")
+    _check_count(n)
     if distribution not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}, expected one of {DISTRIBUTIONS}")
 

@@ -105,6 +105,19 @@ def interaction_list(cell: CellId) -> list[CellId]:
     return out
 
 
+def _quadrants(a: np.ndarray, level: int) -> tuple[np.ndarray, ...]:
+    """The four child grids of the C-contiguous row-major ``level`` array ``a``.
+
+    Each is a writable (h, h, ...) view, h = 2^(level - 1), indexed like the
+    parent level: child (ix, iy) is entry (iy // 2, ix // 2) of quadrant
+    (iy mod 2, ix mod 2), and quadrants come in row-major (cy, cx) order.
+    Trailing axes of ``a`` (expansion coefficients) are carried along.
+    """
+    h = 2 ** (level - 1)
+    grid = a.reshape(h, 2, h, 2, *a.shape[1:])
+    return tuple(grid[:, cy, :, cx] for cy in (0, 1) for cx in (0, 1))
+
+
 class Tree:
     """Uniform quadtree with per-level occupancy and a leaf particle index.
 
@@ -125,12 +138,8 @@ class Tree:
         #: per-level subtree particle counts, counts[k] has 4^k entries
         self.counts: list[np.ndarray] = [np.zeros(0, dtype=np.int64)] * (levels + 1)
         self.counts[levels] = np.bincount(leaf_linear, minlength=m * m)
-        for k in range(levels - 1, -1, -1):
-            mk = 2**k
-            fine = self.counts[k + 1].reshape(2 * mk, 2 * mk)
-            self.counts[k] = (
-                fine[0::2, 0::2] + fine[0::2, 1::2] + fine[1::2, 0::2] + fine[1::2, 1::2]
-            ).ravel()
+        for k in range(levels, 0, -1):
+            self.counts[k - 1] = sum(_quadrants(self.counts[k], k)).ravel()
         self.leaf_starts = np.concatenate([[0], np.cumsum(self.counts[levels])])
 
     def cell_side(self, level: int) -> float:

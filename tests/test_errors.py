@@ -118,20 +118,22 @@ class TestSpatialMap:
 
 class TestBoundCheck:
     def test_infinite_budgets_no_violations(self, rng):
-        rep, *_ = make_report(rng)
-        assert bound_check(rep, np.full(len(rep.abs_errors), np.inf)) == []
+        _, fmm, direct, positions = make_report(rng)
+        rep = compare(fmm, direct, positions, np.full(len(positions), np.inf))
+        assert bound_check(rep) == []
 
     def test_zero_observed_no_violations(self, rng):
         pos = rng.uniform(0, 1, size=(10, 2))
         vel = rng.standard_normal((10, 2))
-        rep = compare(vel, vel, pos)
-        assert bound_check(rep, np.zeros(10)) == []
+        rep = compare(vel, vel, pos, np.zeros(10))
+        assert bound_check(rep) == []
 
     def test_violations_identify_targets(self, rng):
-        rep, *_ = make_report(rng, 10)
+        _, fmm, direct, positions = make_report(rng, 10)
         budgets = np.full(10, np.inf)
         budgets[3] = 0.0  # every nonzero error at index 3 violates
-        out = bound_check(rep, budgets)
+        rep = compare(fmm, direct, positions, budgets)
+        out = bound_check(rep)
         assert len(out) == 1 and out[0][0] == 3
         assert out[0][1] == rep.f_abs_errors[3] and out[0][2] == 0.0
 

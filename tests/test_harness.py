@@ -1,5 +1,7 @@
 import json
+import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from vortexfmm.harness import (
     SWEEP_HEADER,
     ConfigError,
     SweepConfig,
+    TimingRow,
     occupancy_levels,
     parse_sweep_config,
     run_single,
@@ -43,7 +46,34 @@ class TestConfigParsing:
         assert cfg.p_values == (2, 4, 6)
         assert cfg.seeds == (1, 2)
         assert cfg.run_count == 12
-        assert cfg.oracle_mode == "always"
+        assert cfg.oracle_k is None and cfg.meta()["oracle"] == "always"
+
+    def test_absent_keys_take_the_sweep_config_defaults(self, tmp_path):
+        path = tmp_path / "min.cfg"
+        path.write_text("n = 10\nlevels = 2\np = 2\nseeds = 1\n")
+        assert parse_sweep_config(path) == SweepConfig((10,), (2,), (2,), (1,))
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("distribution = uniform", "distribution"),
+            ("n = 100, 0", "n"),
+            ("levels = 1, 2", "levels"),
+            ("p = 4, 61", "p"),
+            ("seeds = 1, -2", "seeds"),
+            ("sigma = 0", "sigma"),
+            ("sigma = nan", "sigma"),
+            ("map_grid = 0", "map_grid"),
+        ],
+    )
+    def test_bad_value_rejected_before_any_output(self, tmp_path, capsys, line, key):
+        key_of_line = line.split("=")[0].strip()
+        text = "".join(f"{row}\n" for row in SMALL_CFG.splitlines() if not row.startswith(key_of_line))
+        path = write_cfg(tmp_path, text + line + "\n")
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_sweep_config(path)
+        assert cli.main(["sweep", str(path), "--maps"]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
 
     def test_unknown_key_is_named(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -70,12 +100,12 @@ class TestConfigParsing:
         path = tmp_path / "ok.cfg"
         path.write_text("n = 10\nlevels = 2\np = 2\nseeds = 1\noracle = sampled(50)\n")
         cfg = parse_sweep_config(path)
-        assert cfg.oracle_mode == "sampled" and cfg.oracle_k == 50
+        assert cfg.oracle_k == 50
 
     def test_shipped_study_config_has_900_tuples(self):
         cfg = parse_sweep_config("study.cfg")
         assert cfg.run_count == 900
-        assert cfg.oracle_mode == "sampled"
+        assert cfg.oracle_k == 200
 
 
 class TestRunSweep:
@@ -138,7 +168,6 @@ class TestRunSweep:
             l_values=(2, 3),
             p_values=(2, 4, 6),
             seeds=(1, 3),  # differs
-            oracle_mode="always",
             oracle_k=None,
             out=cfg.out,
         )
@@ -182,6 +211,63 @@ class TestRunSweep:
         assert out.with_name(out.name + ".meta.json").exists()
         meta = json.loads((out.parent / (out.name + ".meta.json")).read_text())
         assert meta["oracle"] == "sampled(40)"
+
+    @pytest.mark.parametrize("stage", ["content", "rename"])
+    def test_failed_map_write_leaves_no_map_and_resume_redoes_its_row(self, tmp_path, monkeypatch, stage):
+        def metrics(path):
+            return [cells[:11] + cells[13:] for cells in (line.split(",") for line in path.read_text().splitlines())]
+
+        path = write_cfg(
+            tmp_path,
+            "n = 50\nlevels = 2\np = 4, 6\nseeds = 1\noracle = always\nout = {out}\n",
+            out="m.csv",
+        )
+        cfg = parse_sweep_config(path)
+        clean, _ = run_sweep(cfg, out_path=tmp_path / "clean.csv", write_maps=True)
+        clean_maps = {p.name: p.read_bytes() for p in (tmp_path / "clean_maps").iterdir()}
+        maps_dir = tmp_path / "m_maps"
+        first, second = maps_dir / "map_n50_l2_p4_s1.csv", maps_dir / "map_n50_l2_p6_s1.csv"
+
+        if stage == "content":
+            # the second map's bins fail after a few have been read, as a full disk would
+            class FailsMidMap(np.ndarray):
+                reads = 0
+
+                def __getitem__(self, index):
+                    FailsMidMap.reads += 1
+                    if FailsMidMap.reads > 4:
+                        raise OSError("no space left on device")
+                    return super().__getitem__(index)
+
+            spatial_map = harness.errorlab.spatial_map
+
+            def failing_spatial_map(report, domain, grid):
+                emap = spatial_map(report, domain, grid)
+                if first.exists():
+                    emap.mean_err = emap.mean_err.view(FailsMidMap)
+                return emap
+
+            monkeypatch.setattr(harness.errorlab, "spatial_map", failing_spatial_map)
+        else:
+            replace = os.replace
+
+            def failing_replace(src, dst):
+                if Path(dst) == second:
+                    raise OSError("no space left on device")
+                replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", failing_replace)
+
+        with pytest.raises(OSError):
+            run_sweep(cfg, write_maps=True)
+        assert sorted(maps_dir.iterdir()) == [first]
+        assert len(metrics(tmp_path / "m.csv")) == 2  # header and the p = 4 row
+
+        monkeypatch.undo()
+        out, computed = run_sweep(cfg, resume=True, write_maps=True)
+        assert computed == 1
+        assert {p.name: p.read_bytes() for p in maps_dir.iterdir()} == clean_maps
+        assert metrics(out) == metrics(clean)
 
 
 class TestRunSingle:
@@ -236,6 +322,20 @@ class TestTiming:
         rows = timing_study([64, 128, 256, 512], p=3, levels=2, repeats=1, direct_cutoff=128)
         assert [r.direct_extrapolated for r in rows] == [False, False, True, True]
         assert all(r.t_direct_ms > 0 for r in rows)
+
+    @pytest.mark.parametrize(
+        "t_fmm, last",
+        [
+            ((5.0, 3.0, 4.0), "fast evaluation wins from n = 128 on (direct timings extrapolated above n = 8192)"),
+            ((5.0, 9.0, 40.0), "no crossover in the scanned range"),
+        ],
+    )
+    def test_cli_prints_the_crossover_after_the_table(self, tmp_path, capsys, monkeypatch, t_fmm, last):
+        rows = [TimingRow(n, 2, 3, t, t_direct, False) for n, t, t_direct in zip((64, 128, 256), t_fmm, (1.0, 4.0, 16.0))]
+        monkeypatch.setattr(harness, "timing_study", lambda *args, **kwargs: rows)
+        assert cli.main(["timing", "--out", str(tmp_path / "t.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [harness.TIMING_HEADER, *(r.csv_row() for r in rows), last, f"wrote {tmp_path / 't.csv'}"]
 
     def test_occupancy_policy(self):
         assert occupancy_levels(256, 8) == 3

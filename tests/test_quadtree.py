@@ -7,6 +7,7 @@ from vortexfmm.model import Domain, Particle, generate_particles
 from vortexfmm.quadtree import (
     CellId,
     OutOfDomainError,
+    _quadrants,
     build_tree,
     cell_index,
     interaction_list,
@@ -178,3 +179,23 @@ def test_counts_aggregate_up_the_tree():
         fine = tree.counts[level + 1].reshape(2 ** (level + 1), 2 ** (level + 1))
         coarse = fine[0::2, 0::2] + fine[0::2, 1::2] + fine[1::2, 0::2] + fine[1::2, 1::2]
         assert np.array_equal(tree.counts[level], coarse.ravel())
+
+
+@pytest.mark.parametrize("level", [1, 2, 5])
+def test_quadrants_match_per_cell_loop_and_write_through(level):
+    # child (ix, iy) sits in quadrant (iy % 2, ix % 2) at parent (iy // 2) * h + ix // 2
+    m, h = 2**level, 2 ** (level - 1)
+    a = np.arange(4**level * 3, dtype=np.float64).reshape(4**level, 3)
+    views = _quadrants(a, level)
+    assert len(views) == 4
+    for iy in range(m):
+        for ix in range(m):
+            q = views[2 * (iy % 2) + ix % 2]
+            assert q.shape == (h, h, 3)
+            assert np.array_equal(q.reshape(h * h, 3)[(iy // 2) * h + ix // 2], a[iy * m + ix])
+    for k, q in enumerate(views):
+        q += 1000.0 * (k + 1)
+    for iy in range(m):
+        for ix in range(m):
+            expected = np.arange(3) + 3 * (iy * m + ix) + 1000.0 * (2 * (iy % 2) + ix % 2 + 1)
+            assert np.array_equal(a[iy * m + ix], expected)
