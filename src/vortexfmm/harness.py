@@ -19,7 +19,6 @@ import math
 import os
 import re
 import statistics
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -301,14 +300,15 @@ class SingleSummary:
 
 
 def _atomic_text(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Write ``text`` to ``path`` whole or not at all, through a temporary file beside
+    it, opened like any other output so that the renamed file's mode follows the umask."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(tmp, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

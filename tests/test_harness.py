@@ -66,7 +66,7 @@ class TestConfigParsing:
             ("map_grid = 0", "map_grid"),
         ],
     )
-    def test_bad_value_rejected_before_any_output(self, tmp_path, capsys, line, key):
+    def test_bad_value_rejected_before_any_output(self, tmp_path, line, key):
         key_of_line = line.split("=")[0].strip()
         text = "".join(f"{row}\n" for row in SMALL_CFG.splitlines() if not row.startswith(key_of_line))
         path = write_cfg(tmp_path, text + line + "\n")
@@ -198,6 +198,15 @@ class TestRunSweep:
         run_sweep(cfg, write_maps=True)
         maps_dir = tmp_path / "m_maps"
         assert (maps_dir / "map_n50_l2_p4_s1.csv").exists()
+
+    def test_outputs_written_whole_keep_the_mode_of_the_sweep_csv(self, tmp_path):
+        path = write_cfg(tmp_path, "n = 50\nlevels = 2\np = 4\nseeds = 1\noracle = always\nout = {out}\n")
+        out, _ = run_sweep(parse_sweep_config(path), write_maps=True)
+        single = run_single(tmp_path / "single", n=50, levels=2, p=4).out_files
+        mode = out.stat().st_mode
+        for written in (out.with_name(out.name + ".meta.json"), tmp_path / "rows_maps" / "map_n50_l2_p4_s1.csv", *single):
+            assert written.stat().st_mode == mode, written
+        assert not list(tmp_path.glob("**/*.tmp"))
 
     def test_sampled_rows_flag_sample_size(self, tmp_path):
         path = write_cfg(
