@@ -6,10 +6,13 @@
 For N = 4096, 16384, 65536 and 131072 uniform particles, at the occupancy
 depth (8 particles per leaf), order 8 and both kernels, it times every
 ``FmmRunStats`` phase plus ``velocity_direct`` of 512 targets against the same
-N sources.  Every repeat runs in a fresh interpreter with one BLAS thread and
-keeps, per (N, kernel), each time's minimum over ``CALLS`` in-process calls,
-so that a slow spell of the machine during one call does not count; the file
-holds the median over ``REPEATS`` of these minima.
+N sources.  It also times ``run_sweep`` over the ``study.cfg`` slice of seed
+``SEED`` (90 runs): its wall time and runs/s, the time spent in the oracle's
+``velocity_direct`` calls and its share of the wall time, and the oracle's
+source-target pairs.  Every repeat runs in a fresh interpreter with one BLAS
+thread and keeps, per entry, each time's minimum over ``CALLS`` in-process
+calls, so that a slow spell of the machine during one call does not count;
+the file holds the median over ``REPEATS`` of these minima.
 
 ``--base DIR`` names a second checkout of this repository (for example a
 ``git clone`` at the parent commit).  Both checkouts are then
@@ -76,7 +79,47 @@ def measure_once() -> dict:
                 row["t_velocity_direct"] = time.perf_counter() - t0
                 calls.append(row)
             out[f"{name}/{n}"] = {**{key: min(row[key] for row in calls) for key in calls[0]}, "levels": levels}
+    out[f"study.cfg/seed{SEED}"] = measure_sweep()
     return out
+
+
+def measure_sweep() -> dict:
+    """The ``study.cfg`` slice of seed ``SEED`` through ``run_sweep``, min over ``CALLS`` sweeps."""
+    import dataclasses
+    import tempfile
+
+    from vortexfmm import harness
+
+    config = dataclasses.replace(harness.parse_sweep_config(ROOT / "study.cfg"), seeds=(SEED,))
+    direct = harness.velocity_direct
+    oracle = {"t": 0.0, "pairs": 0}
+
+    def timed_direct(targets, sources, kind):
+        t0 = time.perf_counter()
+        try:
+            return direct(targets, sources, kind)
+        finally:
+            oracle["t"] += time.perf_counter() - t0
+            oracle["pairs"] += len(targets) * len(sources)
+
+    calls = []
+    harness.velocity_direct = timed_direct
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            for _ in range(CALLS):
+                oracle.update(t=0.0, pairs=0)
+                t0 = time.perf_counter()
+                harness.run_sweep(config, Path(tmp) / "sweep.csv")
+                calls.append({"t_sweep": time.perf_counter() - t0, "t_oracle": oracle["t"]})
+    finally:
+        harness.velocity_direct = direct
+    best = {key: min(row[key] for row in calls) for key in calls[0]}
+    return {
+        **best,
+        "runs_per_s": config.run_count / best["t_sweep"],
+        "oracle_share": best["t_oracle"] / best["t_sweep"],
+        "oracle_pairs": oracle["pairs"],
+    }
 
 
 def _env() -> dict:
@@ -166,6 +209,7 @@ def main() -> int:
             "direct_targets": DIRECT_TARGETS,
             "repeats": REPEATS,
             "calls_per_repeat": CALLS,
+            "sweep": f"study.cfg, seed {SEED}",
             "statistic": "median over repeats of the min over calls in each, seconds",
         },
         "checkouts": {side: {"commit": commits[side], "median": _medians(runs[side])} for side in sides},
@@ -173,7 +217,7 @@ def main() -> int:
     if "base" in sides:
         head, base = (report["checkouts"][s]["median"] for s in ("head", "base"))
         report["speedup_base_over_head"] = {
-            key: {f: base[key][f] / head[key][f] for f in head[key] if f != "levels" and head[key][f] > 0}
+            key: {f: base[key][f] / head[key][f] for f in head[key] if f.startswith("t_") and head[key][f] > 0}
             for key in head
         }
     if args.perfbench:

@@ -55,6 +55,14 @@ class ConfigError(ValueError):
     """Malformed sweep configuration or resume mismatch."""
 
 
+def _checked(key: str, check: Callable, *args) -> None:
+    """Run one of the checks a sweep's runs make; its ValueError becomes a ConfigError naming ``key``."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     n_values: tuple[int, ...]
@@ -67,6 +75,24 @@ class SweepConfig:
     map_grid: int = 8
     oracle_k: int | None = 200  # targets of the sampled oracle; None = all
     out: str = "sweep_results.csv"
+
+    def __post_init__(self):
+        """Put every value through the checks its runs would make, so that a bad
+        config is rejected however it is built, before any output is written."""
+        if self.kernel not in _KERNEL_TOKENS:
+            raise ConfigError(f"config key 'kernel': expected point or gaussian, got {self.kernel!r}")
+        if self.distribution not in DISTRIBUTIONS:
+            raise ConfigError(f"config key 'distribution': expected one of {DISTRIBUTIONS}, got {self.distribution!r}")
+        if self.oracle_k is not None and self.oracle_k < 1:
+            raise ConfigError("config key 'oracle': sample size must be >= 1")
+        for n in self.n_values:
+            _checked("'n'", _check_count, n)
+        for seed in self.seeds:
+            _checked("'seeds'", np.random.SeedSequence, seed)
+        for levels, p in itertools.product(self.l_values, self.p_values):
+            _checked("'levels'/'p'", FmmConfig(levels, p).validate)
+        _checked("'sigma'", Particles, [0.0], [0.0], [0.0], [self.sigma])
+        _checked("'map_grid'", errorlab._check_grid, self.map_grid)
 
     @property
     def run_count(self) -> int:
@@ -105,19 +131,11 @@ def _parse_int_list(value: str, key: str) -> tuple[int, ...]:
     return items
 
 
-def _checked(key: str, check: Callable, *args) -> None:
-    """Run one of the checks a sweep's runs make; its ValueError becomes a ConfigError naming ``key``."""
-    try:
-        check(*args)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key}: {exc}") from None
-
-
 def parse_sweep_config(path) -> SweepConfig:
     """Parse a flat key = value sweep config file; absent keys keep the ``SweepConfig`` defaults.
 
-    Every value goes through the checks its runs would make, so a bad config
-    is rejected here, before any output is written.
+    ``SweepConfig`` checks the values, so a bad config is rejected here,
+    before any output is written.
     """
     raw: dict[str, str] = {}
     with open(path) as fh:
@@ -148,29 +166,31 @@ def parse_sweep_config(path) -> SweepConfig:
         if not m:
             raise ConfigError(f"config key 'oracle': expected always or sampled(k), got {raw['oracle']!r}")
         options["oracle_k"] = None if m.group(1) is None else int(m.group(1))
-        if options["oracle_k"] == 0:
-            raise ConfigError("config key 'oracle': sample size must be >= 1")
 
-    config = SweepConfig(
+    return SweepConfig(
         n_values=_parse_int_list(raw["n"], "n"),
         l_values=_parse_int_list(raw["levels"], "levels"),
         p_values=_parse_int_list(raw["p"], "p"),
         seeds=_parse_int_list(raw["seeds"], "seeds"),
         **options,
     )
-    if config.kernel not in _KERNEL_TOKENS:
-        raise ConfigError(f"config key 'kernel': expected point or gaussian, got {config.kernel!r}")
-    if config.distribution not in DISTRIBUTIONS:
-        raise ConfigError(f"config key 'distribution': expected one of {DISTRIBUTIONS}, got {config.distribution!r}")
-    for n in config.n_values:
-        _checked("'n'", _check_count, n)
-    for seed in config.seeds:
-        _checked("'seeds'", np.random.SeedSequence, seed)
-    for levels, p in itertools.product(config.l_values, config.p_values):
-        _checked("'levels'/'p'", FmmConfig(levels, p).validate)
-    _checked("'sigma'", Particles, [0.0], [0.0], [0.0], [config.sigma])
-    _checked("'map_grid'", errorlab._check_grid, config.map_grid)
-    return config
+
+
+class _DirectMemo:
+    """Direct velocities of one particle set's targets, kept as they are computed.
+
+    A sweep keeps one for each (n, seed), so that a target sampled by several
+    of its runs goes through the oracle once.  That is exact: each target's
+    direct value is its own sequential sum over the sources.  Each target also
+    keeps its share of the time of the call that computed it (call time over
+    the targets in the call), so a run's oracle time is the sum of the shares
+    of its sample.
+    """
+
+    def __init__(self, n: int):
+        self.direct = np.empty((n, 2))
+        self.cost_ms = np.zeros(n)
+        self.known = np.zeros(n, dtype=bool)
 
 
 @dataclass
@@ -227,11 +247,14 @@ def run_case(
     domain: Domain = UNIT_DOMAIN,
     oracle_k: int | None = None,
     particles: Particles | None = None,
+    _memo: _DirectMemo | None = None,
 ) -> CaseResult:
     """Generate (or take) particles, run the fast evaluation and the oracle, compare.
 
     The oracle runs on ``oracle_k`` seeded targets when that is fewer than n,
-    otherwise on all of them.
+    otherwise on all of them.  ``_memo``, kept by a sweep for the particles
+    of (n, seed), supplies the targets it already holds; the oracle then runs
+    only on the rest.
     """
     kind = _KERNEL_TOKENS[kernel]
     if particles is None:
@@ -250,9 +273,15 @@ def run_case(
         sample = np.arange(n)
         sampled = 0
 
-    t0 = time.perf_counter()
-    direct = velocity_direct(positions[sample], particles, kind)
-    t_direct_ms = (time.perf_counter() - t0) * 1e3
+    memo = _DirectMemo(n) if _memo is None else _memo
+    missing = sample[~memo.known[sample]]
+    if len(missing):
+        t0 = time.perf_counter()
+        memo.direct[missing] = velocity_direct(positions[missing], particles, kind)
+        memo.cost_ms[missing] = (time.perf_counter() - t0) * 1e3 / len(missing)
+        memo.known[missing] = True
+    direct = memo.direct[sample]
+    t_direct_ms = float(memo.cost_ms[sample].sum())
 
     report = errorlab.compare(velocities[sample], direct, positions[sample], budgets[sample])
     violations = len(errorlab.bound_check(report))
@@ -455,6 +484,7 @@ def run_sweep(
         maps_dir.mkdir(parents=True, exist_ok=True)
 
     computed = 0
+    memo_n, memos = None, {}  # the memos of the current n, by seed
     with open(out, mode) as fh:
         if mode == "w":
             fh.write(SWEEP_HEADER + "\n")
@@ -462,6 +492,10 @@ def run_sweep(
         for n, lev, p, seed in config.tuples():
             if (n, lev, p, seed) in done:
                 continue
+            if n != memo_n:  # tuples run in n order: the last n's particles are done with
+                memo_n, memos = n, {}
+            if seed not in memos:
+                memos[seed] = _DirectMemo(n)
             case = run_case(
                 n,
                 lev,
@@ -472,6 +506,7 @@ def run_sweep(
                 config.sigma,
                 UNIT_DOMAIN,
                 config.oracle_k,
+                _memo=memos[seed],
             )
             # the map goes first: a row marks its tuple done, map included
             if write_maps:

@@ -99,9 +99,13 @@ def velocity_direct(
     identical to :func:`kernel_eval` per term, so the result is bitwise
     reproducible and matches a scalar double loop exactly (for the blob
     kernel, one that takes numpy's exp, which can differ from ``math.exp`` in
-    the last bit).  The terms of a block of whole sources, about ``_BLOCK``
-    pairs, are computed at once; their rows are then added one source at a
-    time, which keeps that order, so the blocking never changes a bit.
+    the last bit).  Each target's value is its own sequential sum, whatever
+    other targets share the call.  The terms of a block of whole sources,
+    about ``_BLOCK`` pairs, are computed at once and added to the running
+    sums in source order by :func:`_add_rows`: one sequential reduction per
+    block, a ``cumsum`` at M = 1 (where numpy would sum pairwise), and row
+    by row for blocks of at most four sources.  So the blocking never
+    changes a bit.
     """
     pts = np.asarray(targets, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -116,7 +120,27 @@ def velocity_direct(
     for lo in range(0, len(src), step):
         blk = slice(lo, lo + step)
         du, dv = _pair_velocity(tx, ty, sx[blk, None], sy[blk, None], gamma[blk, None], sigma[blk, None], kind)
-        for row in range(len(du)):
-            u += du[row]
-            v += dv[row]
+        _add_rows(u, du)
+        _add_rows(v, dv)
     return np.stack((u, v), axis=1)
+
+
+def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
+    """``acc += rows[0]; acc += rows[1]; ...`` bit for bit, with one reduction in C.
+
+    ``acc`` goes into the first row, and the rows are then summed in order by
+    ``np.add.reduce`` over the strided axis 0 of the C-ordered (k, M) block.
+    At M = 1 that axis is contiguous, and numpy would sum it pairwise, so the
+    sequential ``cumsum`` takes its place.  Blocks of at most four rows
+    (every block once M > 1638) keep the in-place row adds, which measured
+    faster there than the reduction's set-up.  ``rows`` is overwritten.
+    """
+    if len(rows) <= 4:
+        for row in rows:
+            acc += row
+        return
+    rows[0] += acc
+    if rows.shape[1] == 1:
+        acc[:] = np.cumsum(rows[:, 0])[-1]
+    else:
+        np.add.reduce(rows, axis=0, out=acc)

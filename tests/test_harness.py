@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import time
@@ -14,10 +15,12 @@ from vortexfmm.harness import (
     TimingRow,
     occupancy_levels,
     parse_sweep_config,
+    run_case,
     run_single,
     run_sweep,
     timing_study,
 )
+from vortexfmm.kernels import velocity_direct
 from vortexfmm.model import read_particles
 
 SMALL_CFG = """
@@ -74,6 +77,16 @@ class TestConfigParsing:
             parse_sweep_config(path)
         assert cli.main(["sweep", str(path), "--maps"]) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+    def test_config_built_in_code_is_checked_before_any_output(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        with pytest.raises(ConfigError, match="'distribution'"):
+            run_sweep(SweepConfig((100,), (2,), (4,), (1,), distribution="uniform"), out)
+        good = SweepConfig((100,), (2,), (4,), (1,))
+        for change, key in (({"sigma": 0.0}, "sigma"), ({"oracle_k": 0}, "oracle"), ({"p_values": (61,)}, "p")):
+            with pytest.raises(ConfigError, match=f"'{key}'"):
+                dataclasses.replace(good, **change)
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_key_is_named(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -277,6 +290,56 @@ class TestRunSweep:
         assert computed == 1
         assert {p.name: p.read_bytes() for p in maps_dir.iterdir()} == clean_maps
         assert metrics(out) == metrics(clean)
+
+
+def metric_cells(lines):
+    """Every column of sweep rows but the two timings."""
+    return [cells[:11] + cells[13:] for cells in (line.split(",") for line in lines)]
+
+
+class TestSweepOracleMemo:
+    """Rows of one (n, seed) share the direct sums of the targets they sample."""
+
+    @staticmethod
+    def config(oracle_k):
+        return SweepConfig((100, 160), (2, 3), (4, 6), (1, 2), oracle_k=oracle_k)
+
+    @pytest.mark.parametrize("oracle_k", [30, None])
+    def test_rows_match_independent_runs_and_each_target_is_summed_once(self, tmp_path, monkeypatch, oracle_k):
+        config = self.config(oracle_k)
+        cases = [run_case(n, lev, p, seed, oracle_k=oracle_k) for n, lev, p, seed in config.tuples()]
+        distinct: dict[tuple[int, int], set] = {}
+        for case in cases:
+            distinct.setdefault((case.n, case.seed), set()).update(map(tuple, case.report.positions.tolist()))
+
+        targets_per_call = []
+
+        def counted(targets, sources, kind):
+            targets_per_call.append(len(targets))
+            return velocity_direct(targets, sources, kind)
+
+        monkeypatch.setattr(harness, "velocity_direct", counted)
+        out, computed = run_sweep(config, tmp_path / "rows.csv")
+        rows = out.read_text().splitlines()[1:]
+        assert computed == config.run_count
+        assert metric_cells(rows) == metric_cells(case.csv_row() for case in cases)
+        assert all(float(cells[12]) > 0 for cells in (row.split(",") for row in rows))
+        assert len(targets_per_call) <= config.run_count
+        assert sum(targets_per_call) == sum(map(len, distinct.values()))
+        if oracle_k is None:
+            assert targets_per_call == [100, 100, 160, 160]
+
+    def test_resume_inside_an_n_seed_group(self, tmp_path):
+        config = self.config(30)
+        out, _ = run_sweep(config, tmp_path / "rows.csv")
+        full = out.read_text().splitlines()
+        # rows (100, 2, 4, 1) ... (100, 3, 4, 1): (n, seed) = (100, 1) is part done
+        out.write_text("\n".join(full[:6]) + "\n")
+        _, computed = run_sweep(config, out, resume=True)
+        resumed = out.read_text().splitlines()
+        assert computed == config.run_count - 5
+        assert metric_cells(resumed) == metric_cells(full)
+        assert all(float(cells[12]) > 0 for cells in (row.split(",") for row in resumed[1:]))
 
 
 class TestRunSingle:

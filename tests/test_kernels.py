@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import particle_list, positions_of, random_particles
+from vortexfmm import kernels
 from vortexfmm.kernels import _BLOCK, ComplexVelocity, KernelKind, kernel_eval, velocity_direct
 from vortexfmm.model import Particle, Particles, generate_particles, to_arrays
 
@@ -84,18 +85,47 @@ def scalar_direct(targets, sources, kind):
     return out
 
 
-# (targets, sources): one target over a partial second block; a few targets
-# over several blocks; the last sizes with two sources per block and the
-# first with one; more targets than a block holds
-@pytest.mark.parametrize("kind", [POINT, BLOB])
-@pytest.mark.parametrize(
-    "m, n", [(1, _BLOCK + 5), (37, 500), (_BLOCK // 2, 5), (_BLOCK // 2 + 1, 3), (_BLOCK + 1, 2)]
-)
-def test_blocked_oracle_matches_scalar_double_loop_bit_for_bit(kind, m, n):
+def oracle_input(m, n):
     sources = generate_particles("uniform_random", n, 9, sigma=0.05)
     targets = np.random.default_rng(m).uniform(size=(m, 2))
     targets[0] = sources.x[-1], sources.y[-1]  # a coincident pair
+    return targets, sources
+
+
+# (targets, sources): one target over a partial second block; two targets over
+# a second block of three rows; a few targets over several blocks, the last
+# partial (of one row at 200 targets); the last sizes with two sources per
+# block and the first with one; more targets than a block holds
+@pytest.mark.parametrize("kind", [POINT, BLOB])
+@pytest.mark.parametrize(
+    "m, n",
+    [
+        (1, _BLOCK + 5),
+        (2, _BLOCK // 2 + 3),
+        (7, 2 * (_BLOCK // 7) + 5),
+        (37, 500),
+        (200, 3 * (_BLOCK // 200) + 1),
+        (_BLOCK // 2, 5),
+        (_BLOCK // 2 + 1, 3),
+        (_BLOCK + 1, 2),
+    ],
+)
+def test_blocked_oracle_matches_scalar_double_loop_bit_for_bit(kind, m, n):
+    targets, sources = oracle_input(m, n)
     assert np.array_equal(velocity_direct(targets, sources, kind), scalar_direct(targets, sources, kind))
+
+
+def test_pairwise_block_sum_fails_the_bit_for_bit_check(monkeypatch):
+    # mutation check: with numpy's pairwise sum over a block's contiguous
+    # source axis (one target) in place of the sequential one, the test above
+    # would fail, so it does pin the order of the sum
+    def pairwise(acc, rows):
+        rows[0] += acc
+        acc[:] = rows.sum(axis=0)
+
+    targets, sources = oracle_input(1, _BLOCK + 5)
+    monkeypatch.setattr(kernels, "_add_rows", pairwise)
+    assert not np.array_equal(velocity_direct(targets, sources, POINT), scalar_direct(targets, sources, POINT))
 
 
 def test_self_targets_are_finite():
