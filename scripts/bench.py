@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Layer ladder: per-phase timings of ``evaluate`` and the direct oracle, written to BENCH_<label>.json.
 
-    python3 scripts/bench.py LABEL [--base DIR] [--perfbench]
+    python3 scripts/bench.py LABEL [--base DIR] [--perfbench] [--tier1]
 
 For N = 4096, 16384, 65536 and 131072 uniform particles, at the occupancy
 depth (8 particles per leaf), order 8 and both kernels, it times every
 ``FmmRunStats`` phase plus ``velocity_direct`` of 512 targets against the same
-N sources.  It also times ``run_sweep`` over the ``study.cfg`` slice of seed
-``SEED`` (90 runs): its wall time and runs/s, the time spent in the oracle's
-``velocity_direct`` calls and its share of the wall time, and the oracle's
-source-target pairs.  Every repeat runs in a fresh interpreter with one BLAS
-thread and keeps, per entry, each time's minimum over ``CALLS`` in-process
-calls, so that a slow spell of the machine during one call does not count;
-the file holds the median over ``REPEATS`` of these minima.
+N sources.  It times every phase of ``evaluate_at`` at the shape of
+perfbench's field_probe (``FIELD_PROBE``: 4096 sources, depth 6, order 40, a
+128 x 128 grid of cell-centred targets).  It also times ``run_sweep`` over
+the ``study.cfg`` slice of seed ``SEED`` (90 runs): its wall time and runs/s,
+the time spent in the oracle's ``velocity_direct`` calls and its share of the
+wall time, and the oracle's source-target pairs.  Every repeat runs in a
+fresh interpreter with one BLAS thread and keeps, per entry, each time's
+minimum over ``CALLS`` in-process calls, so that a slow spell of the machine
+during one call does not count; the file holds the median over ``REPEATS`` of
+these minima.
 
 ``--base DIR`` names a second checkout of this repository (for example a
 ``git clone`` at the parent commit).  Both checkouts are then
@@ -21,7 +24,10 @@ machine hits both alike, and the file holds them side by side with the
 base/head ratio of every median.  ``--perfbench`` also runs each checkout's
 ``perfbench/run.py`` (untraced, for BENCHMARK.json's ``run_seconds``) on both
 benchmark workloads for every seed in ``PERFBENCH_SEEDS``, alternating
-likewise, and keeps the result lines.
+likewise, and keeps the result lines.  ``--tier1`` also times each
+checkout's Tier-1 suite ``TIER1_RUNS`` times, alternating likewise, with the
+BLAS thread count left to the library (unpinned), and keeps each wall time
+and pytest's summary line.
 """
 
 from __future__ import annotations
@@ -44,7 +50,10 @@ DIRECT_TARGETS = 512
 #: below the sigma guard (leaf half-width / 2) at every depth of the ladder
 SIGMA = 0.001
 SEED = 1
+#: perfbench's field_probe: sources, depth, order and targets per grid side
+FIELD_PROBE = {"n": 4096, "levels": 6, "order": 40, "grid": 128}
 REPEATS = 5
+TIER1_RUNS = 2
 CALLS = 3
 #: ten alternating pairs of runs per workload
 PERFBENCH_SEEDS = tuple(range(1, 11))
@@ -79,8 +88,26 @@ def measure_once() -> dict:
                 row["t_velocity_direct"] = time.perf_counter() - t0
                 calls.append(row)
             out[f"{name}/{n}"] = {**{key: min(row[key] for row in calls) for key in calls[0]}, "levels": levels}
+    out[f"field_probe/{FIELD_PROBE['n']}"] = measure_field_probe()
     out[f"study.cfg/seed{SEED}"] = measure_sweep()
     return out
+
+
+def measure_field_probe() -> dict:
+    """Every phase of ``evaluate_at`` at the ``FIELD_PROBE`` shape, min over ``CALLS`` calls after one warm-up."""
+    import numpy as np
+    from vortexfmm import engine, model
+
+    particles = model.generate_particles("uniform_random", FIELD_PROBE["n"], SEED)
+    axis = (np.arange(FIELD_PROBE["grid"]) + 0.5) / FIELD_PROBE["grid"]
+    gx, gy = np.meshgrid(axis, axis)
+    targets = np.stack((gx.ravel(), gy.ravel()), axis=1)
+    config = engine.FmmConfig(FIELD_PROBE["levels"], FIELD_PROBE["order"])
+    calls = []
+    for _ in range(CALLS + 1):
+        _, stats, _ = engine._evaluate(particles, config, model.UNIT_DOMAIN, targets)
+        calls.append({phase: getattr(stats, phase) for phase in PHASES})
+    return {**{key: min(row[key] for row in calls[1:]) for key in PHASES}, "levels": FIELD_PROBE["levels"]}
 
 
 def measure_sweep() -> dict:
@@ -146,6 +173,16 @@ def _perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict
     return {"workload": workload, "seed": seed, "samples": detail["samples"], **result}
 
 
+def _tier1(checkout: Path) -> dict:
+    env = {var: value for var, value in os.environ.items() if var not in THREAD_VARS}
+    env["PYTHONPATH"] = str(checkout / "src")
+    args = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    t0 = time.perf_counter()
+    done = subprocess.run(args, cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    return {"wall_s": wall, "summary": done.stdout.strip().splitlines()[-1]}
+
+
 def _medians(runs: list[dict]) -> dict:
     return {
         key: {field: statistics.median(run[key][field] for run in runs) for field in runs[0][key]}
@@ -183,6 +220,7 @@ def main() -> int:
     parser.add_argument("label")
     parser.add_argument("--base", type=Path, help="second checkout measured alongside this one")
     parser.add_argument("--perfbench", action="store_true", help="also run perfbench/run.py on both workloads")
+    parser.add_argument("--tier1", action="store_true", help="also time the Tier-1 suite with unpinned BLAS")
     args = parser.parse_args()
 
     sides = {"head": ROOT}
@@ -209,6 +247,7 @@ def main() -> int:
             "direct_targets": DIRECT_TARGETS,
             "repeats": REPEATS,
             "calls_per_repeat": CALLS,
+            "field_probe": FIELD_PROBE,
             "sweep": f"study.cfg, seed {SEED}",
             "statistic": "median over repeats of the min over calls in each, seconds",
         },
@@ -228,6 +267,13 @@ def main() -> int:
                 lines[side].append(_perfbench(sides[side], workload, seed, seconds))
                 print(f"perfbench {workload} seed {seed} {side} done", file=sys.stderr, flush=True)
         report["perfbench"] = {"seconds": seconds, **lines}
+    if args.tier1:
+        tier1: dict[str, list] = {side: [] for side in sides}
+        for r in range(TIER1_RUNS):
+            for side in order if r % 2 == 0 else order[::-1]:
+                tier1[side].append(_tier1(sides[side]))
+                print(f"tier-1 run {r + 1}/{TIER1_RUNS} {side} done", file=sys.stderr, flush=True)
+        report["tier1"] = {"blas_threads": "unpinned", **tier1}
 
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")

@@ -39,6 +39,18 @@ chunking is fixed, so runs are bitwise repeatable, but BLAS orders each cell's
 27-term sum itself: last bits differ from a per-offset accumulation (within
 1e-15 of the largest speed).
 
+The full chunks of a pass (``_CHUNK_BYTES`` each), when there are two or
+more, run in parallel: on a pool of one thread per core the process may use
+besides the caller's, made on first use, and on the calling thread.  Partial
+chunks and smaller passes run on the calling thread alone.  Each chunk
+assigns rows no other chunk writes, so the output does not depend on the
+number of workers or on which thread ran which chunk, only on the BLAS
+library and its thread count per product.  The pass is fastest with one BLAS
+thread per product.  At 4096 particles, depth 6, order 40 (field_probe's
+shape) on a 2-vCPU Xeon VM, M2L took 84-93 ms serial and 47-48 ms on two
+threads with one BLAS thread; with unpinned OpenBLAS (two threads per
+product) it took 68 ms serial and 63-76 ms on two threads.
+
 ``quadtree._quadrants`` alone maps parents to children: a level's four child
 quadrants are writable views shaped like its parent level.  M2M sums one
 product per quadrant, L2L adds the parent's shifted locals into each quadrant
@@ -48,10 +60,12 @@ in place, and the budgets' amplitudes go up and their totals down the same way.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -60,6 +74,9 @@ from .expansions import BoundParams, truncation_bound
 from .kernels import _BLOCK, KernelKind, _pair_velocity
 from .model import Domain, Particle, Particles, enclosing_domain
 from .quadtree import Tree, _leaf_tree, _quadrants, build_tree
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 SQRT2 = np.sqrt(2.0)
 
@@ -108,7 +125,8 @@ def _interaction_stencil(level: int) -> tuple:
     ``offsets`` are the class's 27 (dx, dy), row-major: dx from -2 - ix mod 2
     to 3 - ix mod 2, likewise dy, minus those with max(|dx|, |dy|) < 2.
     ``dest`` holds its cells, row-major, and the read-only (len(dest) x 27)
-    ``src`` each one's source at every offset, -1 outside the domain.
+    ``src`` each one's source at every offset, -1 outside the domain.  Both
+    are int32, which halves the cache (4**15 cells still fit).
     """
     m = 2**level
     classes = []
@@ -117,8 +135,8 @@ def _interaction_stencil(level: int) -> tuple:
                         if max(abs(dx), abs(dy)) >= 2)
         iy, ix = np.ogrid[cy:m:2, cx:m:2]
         sx, sy = ix[..., None] + [dx for dx, _ in offsets], iy[..., None] + [dy for _, dy in offsets]
-        src = np.where((sx >= 0) & (sx < m) & (sy >= 0) & (sy < m), sy * m + sx, -1).reshape(-1, 27)
-        dest = (iy * m + ix).ravel()
+        src = np.where((sx >= 0) & (sx < m) & (sy >= 0) & (sy < m), sy * m + sx, -1).reshape(-1, 27).astype(np.int32)
+        dest = (iy * m + ix).ravel().astype(np.int32)
         dest.setflags(write=False)
         src.setflags(write=False)
         classes.append((offsets, dest, src))
@@ -162,16 +180,17 @@ def upward_pass(tree: Tree, z_sorted: np.ndarray, gamma_sorted: np.ndarray, orde
     n = len(z_sorted)
     side = tree.cell_side(levels)
     delta = (z_sorted - tree.centers(levels)[tree.sorted_leaf]) / side
-    powers = np.empty((n, p + 1), dtype=np.complex128)
-    powers[:, 0] = gamma_sorted / side
+    # one contiguous row per power: row k is row k - 1 times delta
+    powers = np.empty((p + 1, n), dtype=np.complex128)
+    powers[0] = gamma_sorted / side
     for k in range(1, p + 1):
-        powers[:, k] = powers[:, k - 1] * delta
+        np.multiply(powers[k - 1], delta, out=powers[k])
     # reduceat over nonempty leaves only: their starts are strictly
     # increasing and the gaps of empty leaves have zero width, so consecutive
     # starts delimit exactly one leaf's particle block
     leaf_mult = np.zeros((4**levels, p + 1), dtype=np.complex128)
     occupied = np.flatnonzero(tree.nonempty(levels))
-    leaf_mult[occupied] = np.add.reduceat(powers, tree.leaf_starts[occupied], axis=0)
+    leaf_mult[occupied] = np.add.reduceat(powers, tree.leaf_starts[occupied], axis=1).T
 
     m2m, _, _ = _translations(p)
     mult: list = [None] * (levels + 1)
@@ -190,25 +209,94 @@ def translate_pass(tree: Tree, multipoles: list, order: int) -> tuple[list, int]
     Per level and parity class, one row per cell holds its 27 gathered source
     expansions (zero outside the domain), and chunks of rows are multiplied
     by the class's stacked matrix.  A cell is in one class only, so its local
-    is assigned, not accumulated.
+    is assigned, not accumulated, and no two chunks write the same row: they
+    may run in any order on any thread (see ``_run_chunks``).
     """
     levels, p = tree.levels, order
     _, m2l, _ = _translations(p)
     rows = max(1, _CHUNK_BYTES // (27 * (p + 1) * 16))
     locals_: list = [None] * (levels + 1)
     count = 0
+    full, partial = [], []
     for level in range(2, levels + 1):
-        loc = np.empty((4**level, p + 1), dtype=np.complex128)
+        loc = locals_[level] = np.empty((4**level, p + 1), dtype=np.complex128)
         occupied = tree.nonempty(level)
         for (_, dest, src), stacked in zip(_interaction_stencil(level), m2l):
             count += int(np.count_nonzero(occupied[src] & (src >= 0)))
             for a in range(0, len(dest), rows):
-                ids = src[a:a + rows]
-                block = multipoles[level][ids]
-                block[ids < 0] = 0.0
-                loc[dest[a:a + rows]] = block.reshape(len(ids), -1) @ stacked
-        locals_[level] = loc
+                chunk = (multipoles[level], src[a:a + rows], stacked, loc, dest[a:a + rows])
+                (full if a + rows <= len(dest) else partial).append(chunk)
+    _run_chunks(full, partial)
     return locals_, count
+
+
+def _translate_chunk(mult: np.ndarray, ids: np.ndarray, stacked: np.ndarray, loc: np.ndarray, dest: np.ndarray):
+    """Assign ``loc[dest]`` the M2L product of the sources ``ids`` (rows of a stencil)."""
+    block = mult[ids]
+    block[ids < 0] = 0.0
+    loc[dest] = block.reshape(len(ids), -1) @ stacked
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_workers = 0
+_pool_lock = threading.Lock()
+
+
+def _chunk_pool() -> tuple[ThreadPoolExecutor | None, int]:
+    """The chunk threads and their number, made on first use: one per core
+    this process may run on besides the caller's; no pool on one core."""
+    global _pool, _pool_workers
+    with _pool_lock:
+        if _pool is None:
+            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            if cores > 1:
+                # imported here: concurrent.futures (with logging) adds ~10 ms to the package's import
+                from concurrent.futures import ThreadPoolExecutor
+
+                _pool, _pool_workers = ThreadPoolExecutor(cores - 1, "vortexfmm-m2l"), cores - 1
+        return _pool, _pool_workers
+
+
+def _run_chunks(full: list, partial: list) -> None:
+    """``_translate_chunk`` on every chunk: the ``full`` ones (``_CHUNK_BYTES``
+    each) on the chunk pool and the calling thread together, when there are two
+    or more and more than one core; the ``partial`` ones, or all, on the
+    calling thread.
+
+    Each chunk writes rows no other chunk touches, and numpy's gathers and
+    BLAS products release the interpreter lock, so the chunks run in parallel
+    and the result is the same whichever thread runs which chunk.  A thread
+    that finds no chunk left returns, and workers not yet started are
+    cancelled, so concurrent callers sharing the pool never wait on each
+    other's chunks.
+    """
+    pool, workers = _chunk_pool() if len(full) >= 2 else (None, 0)
+    if pool is None:
+        for chunk in partial + full:
+            _translate_chunk(*chunk)
+        return
+    pending = list(full)
+    lock = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                if not pending:
+                    return
+                chunk = pending.pop()
+            _translate_chunk(*chunk)
+
+    futures = [pool.submit(drain) for _ in range(min(workers, len(full) - 1))]
+    try:
+        for chunk in partial:
+            _translate_chunk(*chunk)
+        drain()
+    finally:
+        with lock:
+            pending.clear()
+        for future in futures:
+            if not future.cancel():
+                future.result()
 
 
 def downward_pass(tree: Tree, locals_: list) -> list:

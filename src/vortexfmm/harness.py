@@ -484,7 +484,7 @@ def run_sweep(
         maps_dir.mkdir(parents=True, exist_ok=True)
 
     computed = 0
-    memo_n, memos = None, {}  # the memos of the current n, by seed
+    memo_n, memos = None, {}  # the particles and memo of the current n, by seed
     with open(out, mode) as fh:
         if mode == "w":
             fh.write(SWEEP_HEADER + "\n")
@@ -495,7 +495,9 @@ def run_sweep(
             if n != memo_n:  # tuples run in n order: the last n's particles are done with
                 memo_n, memos = n, {}
             if seed not in memos:
-                memos[seed] = _DirectMemo(n)
+                particles = generate_particles(config.distribution, n, seed, UNIT_DOMAIN, config.sigma)
+                memos[seed] = particles, _DirectMemo(n)
+            particles, memo = memos[seed]
             case = run_case(
                 n,
                 lev,
@@ -506,7 +508,8 @@ def run_sweep(
                 config.sigma,
                 UNIT_DOMAIN,
                 config.oracle_k,
-                _memo=memos[seed],
+                particles,
+                _memo=memo,
             )
             # the map goes first: a row marks its tuple done, map included
             if write_maps:

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import particle_list, positions_of
-from vortexfmm import expansions
+from vortexfmm import engine, expansions
 from vortexfmm.engine import (
     FmmConfig,
     _evaluate,
@@ -107,6 +110,32 @@ def per_offset_budgets(tree, gamma, p):
     return out
 
 
+def serial_translations(mult, levels, p):
+    """``translate_pass``'s locals from its chunks run one by one on this
+    thread: per level and stencil class, ``_CHUNK_BYTES`` of gathered
+    sources (zero outside the domain) times the class's stacked matrix."""
+    _, m2l, _ = _translations(p)
+    rows = max(1, engine._CHUNK_BYTES // (27 * (p + 1) * 16))
+    locals_ = [None] * (levels + 1)
+    for level in range(2, levels + 1):
+        locals_[level] = np.full_like(mult[level], np.nan)
+        for (_, dest, src), stacked in zip(_interaction_stencil(level), m2l):
+            for a in range(0, len(dest), rows):
+                ids = src[a:a + rows]
+                block = np.where((ids >= 0)[..., None], mult[level][ids], 0.0)
+                locals_[level][dest[a:a + rows]] = block.reshape(len(ids), -1) @ stacked
+    return locals_, rows
+
+
+def joined_within(threads, seconds=120.0):
+    """Start ``threads`` and join each within ``seconds``; True when all ended."""
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=seconds)
+    return not any(thread.is_alive() for thread in threads)
+
+
 #: one particle in each corner leaf (max edges clamp inward)
 CORNERS = [Particle(0.0, 0.0, 0.5, 0.005), Particle(1.0, 1.0, -0.5, 0.005),
            Particle(1.0, 0.0, 0.3, 0.005), Particle(0.0, 1.0, -0.2, 0.005)]
@@ -144,6 +173,24 @@ class TestUpwardPass:
         z, g, _ = sorted_arrays(particles, tree)
         mult = upward_pass(tree, z, g, 8)
         assert mult[2][:, 0].sum() * tree.cell_side(2) == pytest.approx(g.sum(), rel=1e-13, abs=1e-13)
+
+    # 64, 16, 1 and 1/4 particles per leaf on average
+    @pytest.mark.parametrize("n, levels, p", [(4096, 3, 20), (4096, 4, 60), (4096, 6, 40), (256, 5, 2)])
+    def test_leaf_expansions_bitwise_equal_to_column_loop(self, n, levels, p):
+        # the (N, p + 1) layout, one strided column per power, reduced per leaf
+        particles = generate_particles("uniform_random", n, 4)
+        tree = build_tree(particles, levels, UNIT)
+        z, g, _ = sorted_arrays(particles, tree)
+        side = tree.cell_side(levels)
+        delta = (z - tree.centers(levels)[tree.sorted_leaf]) / side
+        powers = np.empty((n, p + 1), dtype=np.complex128)
+        powers[:, 0] = g / side
+        for k in range(1, p + 1):
+            powers[:, k] = powers[:, k - 1] * delta
+        occupied = np.flatnonzero(tree.nonempty(levels))
+        expected = np.zeros((4**levels, p + 1), dtype=np.complex128)
+        expected[occupied] = np.add.reduceat(powers, tree.leaf_starts[occupied], axis=0)
+        assert upward_pass(tree, z, g, p)[levels].tobytes() == expected.tobytes()
 
     def test_level2_cell_far_evaluation_within_bound(self):
         particles = generate_particles("uniform_random", 500, 3)
@@ -233,6 +280,7 @@ class TestTranslatePass:
             assert list(offsets) == sorted(offsets, key=lambda o: (o[1], o[0]))
             assert all(max(abs(dx), abs(dy)) in (2, 3) for dx, dy in offsets)
             assert src.shape == (len(dest), 27)
+            assert src.dtype == dest.dtype == np.int32
             for d, row in zip(dest.tolist(), src.tolist()):
                 iy, ix = divmod(d, m)
                 for (dx, dy), s in zip(offsets, row):
@@ -302,6 +350,44 @@ class TestTranslatePass:
             # coefficients can cancel, and BLAS orders each 27-term sum itself
             assert np.all(np.abs(locals_[level] - ref) <= 1e-14 * np.abs(ref).max(axis=0))
         assert count == expected_count
+
+    @pytest.mark.parametrize("levels, p", [(6, 40), (3, 4)])
+    def test_bitwise_equal_to_serial_chunk_loop(self, levels, p):
+        particles = generate_particles("uniform_random", 4096, 5)
+        tree = build_tree(particles, levels, UNIT)
+        z, g, _ = sorted_arrays(particles, tree)
+        mult = upward_pass(tree, z, g, p)
+        expected, rows = serial_translations(mult, levels, p)
+        per_class = len(_interaction_stencil(levels)[0][1])
+        # depth 6, p = 40: many full chunks per class; depth 3, p = 4: one partial
+        assert per_class > 10 * rows if levels == 6 else per_class < rows
+        locals_, _ = translate_pass(tree, mult, p)
+        for level in range(2, levels + 1):
+            assert locals_[level].tobytes() == expected[level].tobytes()
+
+    def test_more_chunk_threads_than_cores_give_the_serial_result(self, monkeypatch):
+        # four chunk threads and a short switch interval: a chunk lost or run
+        # twice into the wrong rows would leave NaN or other bits behind
+        particles = generate_particles("uniform_random", 4096, 6)
+        tree = build_tree(particles, 6, UNIT)
+        z, g, _ = sorted_arrays(particles, tree)
+        mult = upward_pass(tree, z, g, 24)
+        expected, _ = serial_translations(mult, 6, 24)
+        results = []
+        interval = sys.getswitchinterval()
+        with ThreadPoolExecutor(4) as pool:
+            monkeypatch.setattr(engine, "_chunk_pool", lambda: (pool, 4))
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=lambda: results.append(translate_pass(tree, mult, 24)[0]))
+                           for _ in range(3)]
+                assert joined_within(threads)
+            finally:
+                sys.setswitchinterval(interval)
+        assert len(results) == 3
+        for locals_ in results:
+            for level in range(2, 7):
+                assert locals_[level].tobytes() == expected[level].tobytes()
 
     def test_each_translation_matrix_built_once_per_order(self, monkeypatch):
         build = expansions.m2l_matrix
@@ -469,6 +555,22 @@ class TestEvaluate:
         v1, _ = evaluate(particles, FmmConfig(3, 9), UNIT)
         v2, _ = evaluate(particles, FmmConfig(3, 9), UNIT)
         assert np.array_equal(v1, v2)
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_concurrent_calls_each_give_the_single_threaded_result(self, kind):
+        particles = generate_particles("uniform_random", 4096, 7, sigma=0.001)
+        config = FmmConfig(6, 40, kind)
+        expected, _ = evaluate(particles, config, UNIT)
+        results = [None, None]
+        start = threading.Barrier(2)
+
+        def call(i):
+            start.wait()
+            results[i] = evaluate(particles, config, UNIT)[0]
+
+        assert joined_within([threading.Thread(target=call, args=(i,)) for i in range(2)])
+        for vel in results:
+            assert vel.tobytes() == expected.tobytes()
 
     def test_gaussian_near_field_regularizes(self):
         # two particles sharing a leaf: the blob kernel must damp their

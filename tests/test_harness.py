@@ -21,7 +21,7 @@ from vortexfmm.harness import (
     timing_study,
 )
 from vortexfmm.kernels import velocity_direct
-from vortexfmm.model import read_particles
+from vortexfmm.model import generate_particles, read_particles
 
 SMALL_CFG = """
 # comment lines and blanks are fine
@@ -298,7 +298,7 @@ def metric_cells(lines):
 
 
 class TestSweepOracleMemo:
-    """Rows of one (n, seed) share the direct sums of the targets they sample."""
+    """Rows of one (n, seed) share its particles and the direct sums of the targets they sample."""
 
     @staticmethod
     def config(oracle_k):
@@ -318,10 +318,18 @@ class TestSweepOracleMemo:
             targets_per_call.append(len(targets))
             return velocity_direct(targets, sources, kind)
 
+        generated = []
+
+        def generating(distribution, n, seed, *args):
+            generated.append((n, seed))
+            return generate_particles(distribution, n, seed, *args)
+
         monkeypatch.setattr(harness, "velocity_direct", counted)
+        monkeypatch.setattr(harness, "generate_particles", generating)
         out, computed = run_sweep(config, tmp_path / "rows.csv")
         rows = out.read_text().splitlines()[1:]
         assert computed == config.run_count
+        assert generated == [(100, 1), (100, 2), (160, 1), (160, 2)]
         assert metric_cells(rows) == metric_cells(case.csv_row() for case in cases)
         assert all(float(cells[12]) > 0 for cells in (row.split(",") for row in rows))
         assert len(targets_per_call) <= config.run_count
