@@ -366,8 +366,8 @@ class TestTranslatePass:
             assert locals_[level].tobytes() == expected[level].tobytes()
 
     def test_more_chunk_threads_than_cores_give_the_serial_result(self, monkeypatch):
-        # four chunk threads and a short switch interval: a chunk lost or run
-        # twice into the wrong rows would leave NaN or other bits behind
+        # four chunk threads and a short switch interval: a lost chunk would
+        # leave rows of np.empty behind, a misplaced one other bits
         particles = generate_particles("uniform_random", 4096, 6)
         tree = build_tree(particles, 6, UNIT)
         z, g, _ = sorted_arrays(particles, tree)
