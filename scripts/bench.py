@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Layer ladder: per-phase timings of ``evaluate`` and the direct oracle, written to BENCH_<label>.json.
 
-    python3 scripts/bench.py LABEL [--base DIR] [--perfbench] [--tier1]
+    python3 scripts/bench.py LABEL [--base DIR] [--perfbench]
 
 For N = 4096, 16384, 65536 and 131072 uniform particles, at the occupancy
 depth (8 particles per leaf), order 8 and both kernels, it times every
@@ -24,10 +24,7 @@ machine hits both alike, and the file holds them side by side with the
 base/head ratio of every median.  ``--perfbench`` also runs each checkout's
 ``perfbench/run.py`` (untraced, for BENCHMARK.json's ``run_seconds``) on both
 benchmark workloads for every seed in ``PERFBENCH_SEEDS``, alternating
-likewise, and keeps the result lines.  ``--tier1`` also times each
-checkout's Tier-1 suite ``TIER1_RUNS`` times, alternating likewise, with the
-BLAS thread count left to the library (unpinned), and keeps each wall time
-and pytest's summary line.
+likewise, and keeps the result lines.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ SEED = 1
 #: perfbench's field_probe: sources, depth, order and targets per grid side
 FIELD_PROBE = {"n": 4096, "levels": 6, "order": 40, "grid": 128}
 REPEATS = 5
-TIER1_RUNS = 2
 CALLS = 3
 #: ten alternating pairs of runs per workload
 PERFBENCH_SEEDS = tuple(range(1, 11))
@@ -173,16 +169,6 @@ def _perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict
     return {"workload": workload, "seed": seed, "samples": detail["samples"], **result}
 
 
-def _tier1(checkout: Path) -> dict:
-    env = {var: value for var, value in os.environ.items() if var not in THREAD_VARS}
-    env["PYTHONPATH"] = str(checkout / "src")
-    args = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
-    t0 = time.perf_counter()
-    done = subprocess.run(args, cwd=checkout, env=env, capture_output=True, text=True)
-    wall = time.perf_counter() - t0
-    return {"wall_s": wall, "summary": done.stdout.strip().splitlines()[-1]}
-
-
 def _medians(runs: list[dict]) -> dict:
     return {
         key: {field: statistics.median(run[key][field] for run in runs) for field in runs[0][key]}
@@ -220,7 +206,6 @@ def main() -> int:
     parser.add_argument("label")
     parser.add_argument("--base", type=Path, help="second checkout measured alongside this one")
     parser.add_argument("--perfbench", action="store_true", help="also run perfbench/run.py on both workloads")
-    parser.add_argument("--tier1", action="store_true", help="also time the Tier-1 suite with unpinned BLAS")
     args = parser.parse_args()
 
     sides = {"head": ROOT}
@@ -267,13 +252,6 @@ def main() -> int:
                 lines[side].append(_perfbench(sides[side], workload, seed, seconds))
                 print(f"perfbench {workload} seed {seed} {side} done", file=sys.stderr, flush=True)
         report["perfbench"] = {"seconds": seconds, **lines}
-    if args.tier1:
-        tier1: dict[str, list] = {side: [] for side in sides}
-        for r in range(TIER1_RUNS):
-            for side in order if r % 2 == 0 else order[::-1]:
-                tier1[side].append(_tier1(sides[side]))
-                print(f"tier-1 run {r + 1}/{TIER1_RUNS} {side} done", file=sys.stderr, flush=True)
-        report["tier1"] = {"blas_threads": "unpinned", **tier1}
 
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")

@@ -258,23 +258,19 @@ def _chunk_pool() -> tuple[ThreadPoolExecutor | None, int]:
 
 
 def _run_chunks(full: list, partial: list) -> None:
-    """``_translate_chunk`` on every chunk: the ``full`` ones (``_CHUNK_BYTES``
-    each) on the chunk pool and the calling thread together, when there are two
-    or more and more than one core; the ``partial`` ones, or all, on the
-    calling thread.
+    """``_translate_chunk`` on every chunk: the ``partial`` ones on the calling
+    thread, the ``full`` ones (``_CHUNK_BYTES`` each) taken one at a time by
+    the calling thread and, when there are two or more, by the chunk pool's
+    threads.
 
     Each chunk writes rows no other chunk touches, and numpy's gathers and
     BLAS products release the interpreter lock, so the chunks run in parallel
-    and the result is the same whichever thread runs which chunk.  A thread
-    that finds no chunk left returns, and workers not yet started are
-    cancelled, so concurrent callers sharing the pool never wait on each
-    other's chunks.
+    and the result is the same whichever thread runs which chunk.  Pool
+    threads that have not started when the caller runs out of chunks are
+    cancelled, so a caller never waits behind another caller's chunks.  Once
+    the interpreter is exiting, no pool can be made and an existing one takes
+    no more work, so the caller runs every chunk itself.
     """
-    pool, workers = _chunk_pool() if len(full) >= 2 else (None, 0)
-    if pool is None:
-        for chunk in partial + full:
-            _translate_chunk(*chunk)
-        return
     pending = list(full)
     lock = threading.Lock()
 
@@ -286,14 +282,18 @@ def _run_chunks(full: list, partial: list) -> None:
                 chunk = pending.pop()
             _translate_chunk(*chunk)
 
-    futures = [pool.submit(drain) for _ in range(min(workers, len(full) - 1))]
+    futures = []
+    try:
+        pool, workers = _chunk_pool() if len(full) >= 2 else (None, 0)
+        for _ in range(min(workers, len(full) - 1)):
+            futures.append(pool.submit(drain))
+    except RuntimeError:  # the interpreter is exiting: no pool is made and none takes work
+        pass
     try:
         for chunk in partial:
             _translate_chunk(*chunk)
         drain()
     finally:
-        with lock:
-            pending.clear()
         for future in futures:
             if not future.cancel():
                 future.result()

@@ -1,8 +1,13 @@
 import dataclasses
+import hashlib
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,6 +393,44 @@ class TestTranslatePass:
         for locals_ in results:
             for level in range(2, 7):
                 assert locals_[level].tobytes() == expected[level].tobytes()
+
+    def test_shut_down_pool_leaves_the_chunks_to_the_caller(self, monkeypatch):
+        # submit raises RuntimeError, as it does once the interpreter is exiting
+        particles = generate_particles("uniform_random", 4096, 6)
+        tree = build_tree(particles, 6, UNIT)
+        z, g, _ = sorted_arrays(particles, tree)
+        mult = upward_pass(tree, z, g, 24)
+        expected, _ = serial_translations(mult, 6, 24)
+        pool = ThreadPoolExecutor(2)
+        pool.shutdown()
+        monkeypatch.setattr(engine, "_chunk_pool", lambda: (pool, 2))
+        locals_, _ = translate_pass(tree, mult, 24)
+        for level in range(2, 7):
+            assert locals_[level].tobytes() == expected[level].tobytes()
+
+    @pytest.mark.parametrize("pool_made_before", [False, True])
+    def test_evaluate_from_a_thread_outliving_the_main_thread(self, pool_made_before):
+        # once the main thread has returned, concurrent.futures neither
+        # imports nor takes work; the late call must still give the result
+        script = textwrap.dedent(f"""
+            import hashlib, threading, time
+            from vortexfmm import engine, model
+            particles = model.generate_particles("uniform_random", 2048, 8)
+            config = engine.FmmConfig(6, 8)
+            if {pool_made_before}:
+                engine.evaluate(particles, config, model.UNIT_DOMAIN)
+            def late():
+                time.sleep(0.2)
+                vel, _ = engine.evaluate(particles, config, model.UNIT_DOMAIN)
+                print(hashlib.sha256(vel.tobytes()).hexdigest())
+            threading.Thread(target=late).start()
+        """)
+        src = str(Path(engine.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        vel, _ = evaluate(generate_particles("uniform_random", 2048, 8), FmmConfig(6, 8), UNIT)
+        assert done.stdout.split() == [hashlib.sha256(vel.tobytes()).hexdigest()]
 
     def test_each_translation_matrix_built_once_per_order(self, monkeypatch):
         build = expansions.m2l_matrix
