@@ -11,11 +11,12 @@ perfbench's field_probe (``FIELD_PROBE``: 4096 sources, depth 6, order 40, a
 128 x 128 grid of cell-centred targets).  It also times ``run_sweep`` over
 the ``study.cfg`` slice of seed ``SEED`` (90 runs): its wall time and runs/s,
 the time spent in the oracle's ``velocity_direct`` calls and its share of the
-wall time, and the oracle's source-target pairs.  Every repeat runs in a
-fresh interpreter with one BLAS thread and keeps, per entry, each time's
-minimum over ``CALLS`` in-process calls, so that a slow spell of the machine
-during one call does not count; the file holds the median over ``REPEATS`` of
-these minima.
+wall time and the oracle's source-target pairs, and likewise the time spent
+in ``engine.near_field``, its share and its number of calls.  Every repeat
+runs in a fresh interpreter with one BLAS thread and keeps, per entry, each
+time's minimum over ``CALLS`` in-process calls, so that a slow spell of the
+machine during one call does not count; the file holds the median over
+``REPEATS`` of these minima.
 
 ``--base DIR`` names a second checkout of this repository (for example a
 ``git clone`` at the parent commit).  Both checkouts are then
@@ -111,37 +112,47 @@ def measure_sweep() -> dict:
     import dataclasses
     import tempfile
 
-    from vortexfmm import harness
+    from vortexfmm import engine, harness
 
     config = dataclasses.replace(harness.parse_sweep_config(ROOT / "study.cfg"), seeds=(SEED,))
-    direct = harness.velocity_direct
-    oracle = {"t": 0.0, "pairs": 0}
+    direct, near = harness.velocity_direct, engine.near_field
+    totals = {"t_oracle": 0.0, "oracle_pairs": 0, "t_near": 0.0, "near_calls": 0}
 
     def timed_direct(targets, sources, kind):
         t0 = time.perf_counter()
         try:
             return direct(targets, sources, kind)
         finally:
-            oracle["t"] += time.perf_counter() - t0
-            oracle["pairs"] += len(targets) * len(sources)
+            totals["t_oracle"] += time.perf_counter() - t0
+            totals["oracle_pairs"] += len(targets) * len(sources)
+
+    def timed_near(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return near(*args, **kwargs)
+        finally:
+            totals["t_near"] += time.perf_counter() - t0
+            totals["near_calls"] += 1
 
     calls = []
-    harness.velocity_direct = timed_direct
+    harness.velocity_direct, engine.near_field = timed_direct, timed_near
     try:
         with tempfile.TemporaryDirectory() as tmp:
             for _ in range(CALLS):
-                oracle.update(t=0.0, pairs=0)
+                totals.update(t_oracle=0.0, oracle_pairs=0, t_near=0.0, near_calls=0)
                 t0 = time.perf_counter()
                 harness.run_sweep(config, Path(tmp) / "sweep.csv")
-                calls.append({"t_sweep": time.perf_counter() - t0, "t_oracle": oracle["t"]})
+                calls.append({"t_sweep": time.perf_counter() - t0, "t_oracle": totals["t_oracle"], "t_near": totals["t_near"]})
     finally:
-        harness.velocity_direct = direct
+        harness.velocity_direct, engine.near_field = direct, near
     best = {key: min(row[key] for row in calls) for key in calls[0]}
     return {
         **best,
         "runs_per_s": config.run_count / best["t_sweep"],
         "oracle_share": best["t_oracle"] / best["t_sweep"],
-        "oracle_pairs": oracle["pairs"],
+        "near_share": best["t_near"] / best["t_sweep"],
+        "oracle_pairs": totals["oracle_pairs"],
+        "near_calls": totals["near_calls"],
     }
 
 

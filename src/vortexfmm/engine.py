@@ -65,7 +65,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -403,6 +403,22 @@ def near_field(
     return vel, pairs
 
 
+@functools.lru_cache(maxsize=256)
+def _budget_factors(side: float, radius: float, order: int) -> tuple[np.ndarray, ...]:
+    """Per ``_interaction_stencil`` class, the read-only factors
+    2 rho^(p+1) / ((1 - rho) (R - r)) of its 27 offsets, row-major, for cells
+    of side ``side`` and radius ``radius``: the budget term per unit amplitude.
+    The offsets are the same at every level, so the key is the geometry."""
+    stencil = _interaction_stencil(2)
+    dist = {o: np.hypot(*o) * side for c in stencil for o in c[0]}
+    factor = {o: truncation_bound(BoundParams(1.0, radius / (d - radius)), order) * 2.0 / (d - radius)
+              for o, d in dist.items()}
+    classes = tuple(np.array([factor[o] for o in offsets]) for offsets, _, _ in stencil)
+    for factors in classes:
+        factors.setflags(write=False)
+    return classes
+
+
 def bound_budgets(tree: Tree, gamma: np.ndarray, order: int) -> np.ndarray:
     """Per-particle truncation budget: the tail bound summed over every
     translation whose result that particle's leaf inherits.
@@ -417,6 +433,8 @@ def bound_budgets(tree: Tree, gamma: np.ndarray, order: int) -> np.ndarray:
     ``cumsum``: the order of a per-offset loop, so bitwise its result.
     Leaf amplitudes (summed |Gamma|) are summed up the tree, and each level's
     totals added down into its children, through the ``_quadrants`` views.
+    The per-offset factors come from ``_budget_factors``, cached by geometry
+    and order.
     """
     levels, p = tree.levels, order
     amp = [np.zeros(0)] * (levels + 1)
@@ -426,15 +444,10 @@ def bound_budgets(tree: Tree, gamma: np.ndarray, order: int) -> np.ndarray:
 
     total = np.zeros(4)
     for level in range(2, levels + 1):
-        side = tree.cell_side(level)
-        radius = SQRT2 * tree.half_width(level)
-        stencil = _interaction_stencil(level)
-        dist = {o: np.hypot(*o) * side for c in stencil for o in c[0]}
-        factor = {o: truncation_bound(BoundParams(1.0, radius / (d - radius)), p) * 2.0 / (d - radius)
-                  for o, d in dist.items()}
+        factors = _budget_factors(tree.cell_side(level), SQRT2 * tree.half_width(level), p)
         cell_budget = np.empty(4**level)
-        for offsets, dest, src in stencil:
-            terms = np.where(src < 0, 0.0, amp[level][src] * [factor[o] for o in offsets])
+        for (_, dest, src), factor in zip(_interaction_stencil(level), factors):
+            terms = np.where(src < 0, 0.0, amp[level][src] * factor)
             cell_budget[dest] = np.cumsum(terms, axis=1)[:, -1]
         for q in _quadrants(cell_budget, level):
             q += total.reshape(q.shape)
@@ -446,16 +459,42 @@ def bound_budgets(tree: Tree, gamma: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
+class _TreeWork(NamedTuple):
+    """The order-independent work of evaluating a particle set at its own
+    positions on one tree: the tree, the leaf-sorted positions, circulations
+    and core radii, the read-only near-field velocities (sorted order) and
+    pair count, and the seconds the build and the near field took."""
+
+    tree: Tree
+    z_sorted: np.ndarray
+    gamma_sorted: np.ndarray
+    sigma_sorted: np.ndarray
+    near_vel: np.ndarray
+    near_pairs: int
+    t_build: float
+    t_near: float
+
+
 def _evaluate(
     particles: Particles | Sequence[Particle],
     config: FmmConfig,
     domain: Domain | None,
     targets: np.ndarray | None = None,
+    _shared: dict[int, _TreeWork] | None = None,
 ) -> tuple[np.ndarray, FmmRunStats, Tree]:
     """The full pipeline evaluated at ``targets`` ((M, 2) positions), by
     default at the particles themselves.
 
     Returns (u, v) rows in target order, the run statistics and the particle tree.
+
+    ``_shared``, kept by a sweep for one particle set, domain and kernel, maps
+    a tree depth to its ``_TreeWork``.  It is read only when ``targets`` is
+    None: the depth's tree and near field are then taken from it, or computed
+    and added to it.  Neither depends on the order, so the velocities are bit
+    for bit those of a standalone run.  So are the statistics' counters, and
+    its timings read as a standalone run's cost: ``t_build`` and ``t_near``
+    are the recorded ones, and ``t_total`` is the time of the phases this
+    call ran plus those two.
     """
     config.validate()
     if not particles:
@@ -467,16 +506,21 @@ def _evaluate(
     particles = Particles.of(particles)
     if domain is None:
         domain = enclosing_domain(particles)
-    tree = build_tree(particles, config.levels, domain)
-    z_sorted = (particles.x + 1j * particles.y)[tree.order]
-    gamma_sorted = particles.gamma[tree.order]
-    sigma_sorted = particles.sigma[tree.order]
+    shared = _shared if targets is None else None
+    work = None if shared is None else shared.get(config.levels)
+    if work is None:
+        tree = build_tree(particles, config.levels, domain)
+        z_sorted = (particles.x + 1j * particles.y)[tree.order]
+        gamma_sorted = particles.gamma[tree.order]
+        sigma_sorted = particles.sigma[tree.order]
+    else:
+        tree, z_sorted, gamma_sorted, sigma_sorted = work[:4]
     if targets is None:
         at, zt_sorted = tree, z_sorted
     else:
         at = _leaf_tree(targets[:, 0], targets[:, 1], config.levels, domain, "target")
         zt_sorted = (targets[:, 0] + 1j * targets[:, 1])[at.order]
-    stats.t_build = time.perf_counter() - t0
+    stats.t_build = time.perf_counter() - t0 if work is None else work.t_build
 
     if config.kernel is KernelKind.GAUSSIAN_BLOB:
         guard = tree.half_width(config.levels) / 2.0
@@ -498,16 +542,26 @@ def _evaluate(
     marks.append(time.perf_counter())
     vel_sorted = expansions.f_to_velocity(far_field(at, locals_, zt_sorted))
     marks.append(time.perf_counter())
-    near_vel, stats.near_pair_count = near_field(
-        tree, z_sorted, gamma_sorted, sigma_sorted, config.kernel, at, zt_sorted
-    )
-    marks.append(time.perf_counter())
-    stats.t_upward, stats.t_m2l, stats.t_downward, stats.t_eval, stats.t_near = np.diff(marks).tolist()
+    stats.t_upward, stats.t_m2l, stats.t_downward, stats.t_eval = np.diff(marks).tolist()
+    if work is None:
+        near_vel, stats.near_pair_count = near_field(
+            tree, z_sorted, gamma_sorted, sigma_sorted, config.kernel, at, zt_sorted
+        )
+        stats.t_near = time.perf_counter() - marks[-1]
+        if shared is not None:
+            near_vel.setflags(write=False)
+            shared[config.levels] = _TreeWork(
+                tree, z_sorted, gamma_sorted, sigma_sorted, near_vel, stats.near_pair_count, stats.t_build, stats.t_near
+            )
+        t_shared = 0.0
+    else:
+        near_vel, stats.near_pair_count, stats.t_near = work.near_vel, work.near_pairs, work.t_near
+        t_shared = work.t_build + work.t_near
 
     vel_sorted = vel_sorted + near_vel
     velocities = np.empty_like(vel_sorted)
     velocities[at.order] = vel_sorted
-    stats.t_total = time.perf_counter() - t_start
+    stats.t_total = time.perf_counter() - t_start + t_shared
     return velocities, stats, tree
 
 

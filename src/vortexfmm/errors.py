@@ -143,9 +143,3 @@ def error_map_text(emap: ErrorMap) -> str:
             else:
                 lines.append(f"{ix},{iy},{count},{emap.max_err[iy, ix]:.10g},{emap.mean_err[iy, ix]:.10g}")
     return "\n".join(lines) + "\n"
-
-
-def write_error_map_csv(emap: ErrorMap, path) -> None:
-    """Write :func:`error_map_text` to ``path``."""
-    with open(path, "w", newline="") as fh:
-        fh.write(error_map_text(emap))

@@ -248,19 +248,22 @@ def run_case(
     oracle_k: int | None = None,
     particles: Particles | None = None,
     _memo: _DirectMemo | None = None,
+    _shared: dict | None = None,
 ) -> CaseResult:
     """Generate (or take) particles, run the fast evaluation and the oracle, compare.
 
     The oracle runs on ``oracle_k`` seeded targets when that is fewer than n,
     otherwise on all of them.  ``_memo``, kept by a sweep for the particles
     of (n, seed), supplies the targets it already holds; the oracle then runs
-    only on the rest.
+    only on the rest.  ``_shared``, kept alongside it, holds the tree and near
+    field of each depth those particles have been evaluated at (see
+    ``engine._evaluate``), so that the orders of one depth compute them once.
     """
     kind = _KERNEL_TOKENS[kernel]
     if particles is None:
         particles = generate_particles(distribution, n, seed, domain, sigma)
     config = FmmConfig(levels=levels, order=p, kernel=kind)
-    velocities, stats, tree = _evaluate(particles, config, domain)
+    velocities, stats, tree = _evaluate(particles, config, domain, _shared=_shared)
 
     positions = np.stack((particles.x, particles.y), axis=1)
     budgets = bound_budgets(tree, particles.gamma, p)
@@ -457,6 +460,15 @@ def run_sweep(
     sidecar metadata must match the config exactly; the file is first cut back
     to its last complete row.  Returns the output path and the number of newly
     computed rows.
+
+    Tuples run in n, l, p, seed order.  Each (n, seed)'s particles are
+    generated once, and its rows share their oracle sums (``_DirectMemo``)
+    and, per depth l, the tree and the near field, which do not depend on p:
+    the first row of each (n, l, seed) computes them and its other orders
+    reuse them.  A row's ``t_fmm_ms`` still reads as a standalone run's cost,
+    the recorded build and near-field time included.  The tree and near field
+    are dropped when l changes, the rest when n changes.  ``progress``
+    receives one line per computed row.
     """
     out = Path(out_path) if out_path is not None else Path(config.out)
     meta_file = _meta_path(out)
@@ -484,7 +496,7 @@ def run_sweep(
         maps_dir.mkdir(parents=True, exist_ok=True)
 
     computed = 0
-    memo_n, memos = None, {}  # the particles and memo of the current n, by seed
+    memo_n, memos = None, {}  # the particles, memo and shared work of the current n, by seed
     with open(out, mode) as fh:
         if mode == "w":
             fh.write(SWEEP_HEADER + "\n")
@@ -496,8 +508,10 @@ def run_sweep(
                 memo_n, memos = n, {}
             if seed not in memos:
                 particles = generate_particles(config.distribution, n, seed, UNIT_DOMAIN, config.sigma)
-                memos[seed] = particles, _DirectMemo(n)
-            particles, memo = memos[seed]
+                memos[seed] = particles, _DirectMemo(n), {}
+            particles, memo, shared = memos[seed]
+            if lev not in shared:  # tuples run in l order: the last depth's work is done with
+                shared.clear()
             case = run_case(
                 n,
                 lev,
@@ -510,6 +524,7 @@ def run_sweep(
                 config.oracle_k,
                 particles,
                 _memo=memo,
+                _shared=shared,
             )
             # the map goes first: a row marks its tuple done, map included
             if write_maps:

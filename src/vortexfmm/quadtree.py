@@ -8,7 +8,6 @@ into the last cell, so every in-domain position maps to exactly one cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,16 +23,6 @@ class CellId(NamedTuple):
     level: int
     ix: int
     iy: int
-
-
-@dataclass(frozen=True)
-class Cell:
-    """Read-only view of one tree cell."""
-
-    id: CellId
-    center: tuple[float, float]
-    half_width: float
-    particle_indices: np.ndarray  # original particle indices; leaves only
 
 
 def grid_indices(
@@ -159,29 +148,6 @@ class Tree:
     def nonempty(self, level: int) -> np.ndarray:
         """Boolean occupancy mask over row-major cells at ``level``."""
         return self.counts[level] > 0
-
-    def leaf_slice(self, linear: int) -> slice:
-        """Slice of the sorted particle permutation owned by one leaf."""
-        return slice(self.leaf_starts[linear], self.leaf_starts[linear + 1])
-
-    def leaf_cell_of(self, particle_index: int) -> CellId:
-        linear = int(self.leaf_index[particle_index])
-        m = 2**self.levels
-        return CellId(self.levels, linear % m, linear // m)
-
-    def cell(self, cell_id: CellId) -> Cell:
-        """Cell view; ``particle_indices`` is populated for leaves only."""
-        level, ix, iy = cell_id
-        mk = 2**level
-        if not (0 <= level <= self.levels and 0 <= ix < mk and 0 <= iy < mk):
-            raise ValueError(f"invalid cell id {cell_id} for a {self.levels}-level tree")
-        s = self.cell_side(level)
-        center = (self.domain.xmin + (ix + 0.5) * s, self.domain.ymin + (iy + 0.5) * s)
-        if level == self.levels:
-            indices = self.order[self.leaf_slice(iy * mk + ix)]
-        else:
-            indices = np.zeros(0, dtype=np.int64)
-        return Cell(cell_id, center, self.half_width(level), indices)
 
 
 def _leaf_tree(x: np.ndarray, y: np.ndarray, levels: int, domain: Domain, what: str) -> Tree:

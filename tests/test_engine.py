@@ -203,7 +203,8 @@ class TestUpwardPass:
         z, g, _ = sorted_arrays(particles, tree)
         mult = upward_pass(tree, z, g, 10)
         cell = CellId(2, 1, 1)
-        center = complex(*tree.cell(cell).center)
+        center = tree.centers(2)[linear_id(cell)]
+        assert center == 0.375 + 0.375j
         members = np.flatnonzero(
             (tree.sorted_leaf // 2 % 4 == 1) & (tree.sorted_leaf // (2 * 8) == 1)
         )
@@ -267,7 +268,8 @@ class TestTranslatePass:
         locals_, _ = translate_pass(tree, mult, p)
         downward_pass(tree, locals_)
         far_cell = CellId(3, 7, 7)
-        center = complex(*tree.cell(far_cell).center)
+        center = tree.centers(3)[linear_id(far_cell)]
+        assert center == 0.9375 + 0.9375j
         exp = Expansion("local", center, locals_[3][linear_id(far_cell)])
         exact = 1.5 / (center - z[0])
         # the single translation this leaf inherits is bounded by the worst
@@ -685,6 +687,24 @@ class TestBoundBudgets:
         direct = velocity_direct(positions_of(particles), particles, POINT)
         budgets = bound_budgets(build_tree(particles, levels, UNIT), to_arrays(particles)[2], p)
         assert np.all(np.hypot(*(vel - direct).T) <= budgets / TWO_PI)
+
+    @pytest.mark.parametrize("domain", [UNIT, Domain(-2.0, -1.0, 3.0), Domain(-1.0, 0.5, 2.5)])
+    def test_cached_factors_equal_an_uncached_recomputation(self, domain):
+        particles = generate_particles("uniform_random", 2000, 7, domain)
+        engine._budget_factors.cache_clear()
+        for levels in (2, 4, 6):
+            tree = build_tree(particles, levels, domain)
+            for order in (1, 6, 30):
+                first = bound_budgets(tree, particles.gamma, order)
+                hits = engine._budget_factors.cache_info().hits
+                assert bound_budgets(tree, particles.gamma, order).tobytes() == first.tobytes()
+                assert engine._budget_factors.cache_info().hits == hits + levels - 1
+                assert first.tobytes() == per_offset_budgets(tree, particles.gamma, order).tobytes()
+                for level in range(2, levels + 1):
+                    key = (tree.cell_side(level), engine.SQRT2 * tree.half_width(level), order)
+                    cached, uncached = engine._budget_factors(*key), engine._budget_factors.__wrapped__(*key)
+                    assert [f.tobytes() for f in cached] == [f.tobytes() for f in uncached]
+                    assert not any(f.flags.writeable for f in cached)
 
     @pytest.mark.parametrize("domain", [UNIT, Domain(-2.0, -1.0, 3.0)])
     @pytest.mark.parametrize("levels, order", [(2, 4), (5, 7), (6, 20)])

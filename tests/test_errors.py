@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vortexfmm.errors import bound_check, compare, spatial_map, write_error_map_csv
+from vortexfmm.errors import bound_check, compare, error_map_text, spatial_map
 from vortexfmm.model import Domain
 
 UNIT = Domain(0.0, 0.0, 1.0)
@@ -144,14 +144,14 @@ class TestBoundCheck:
 
 
 class TestMapCsv:
-    def test_header_na_tokens_and_row_major_order(self, tmp_path, rng):
+    def test_header_na_tokens_and_row_major_order(self, rng):
         pos = np.array([[0.1, 0.1], [0.9, 0.9], [0.85, 0.9]])
         fmm = np.array([[0.1, 0.0], [0.0, 0.2], [0.0, 0.1]])
         rep = compare(fmm, np.zeros((3, 2)), pos)
         emap = spatial_map(rep, UNIT, 2)
-        path = tmp_path / "map.csv"
-        write_error_map_csv(emap, path)
-        lines = path.read_text().splitlines()
+        text = error_map_text(emap)
+        assert text.endswith("\n")
+        lines = text.splitlines()
         assert lines[0] == "bin_ix,bin_iy,count,max_err,mean_err"
         assert len(lines) == 5
         assert lines[1].startswith("0,0,1,")

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vortexfmm import cli, harness
+from vortexfmm import cli, engine, errors, harness
 from vortexfmm.harness import (
     SWEEP_HEADER,
     ConfigError,
@@ -21,7 +22,7 @@ from vortexfmm.harness import (
     timing_study,
 )
 from vortexfmm.kernels import velocity_direct
-from vortexfmm.model import generate_particles, read_particles
+from vortexfmm.model import UNIT_DOMAIN, generate_particles, read_particles
 
 SMALL_CFG = """
 # comment lines and blanks are fine
@@ -348,6 +349,78 @@ class TestSweepOracleMemo:
         assert computed == config.run_count - 5
         assert metric_cells(resumed) == metric_cells(full)
         assert all(float(cells[12]) > 0 for cells in (row.split(",") for row in resumed[1:]))
+
+
+class TestSweepTreeWork:
+    """Rows of one (n, l, seed) share its tree and near field, which do not depend on p."""
+
+    @staticmethod
+    def config(oracle_k=30):
+        return SweepConfig((100, 160), (2, 3), (2, 4, 6), (1, 2), oracle_k=oracle_k)
+
+    def test_one_build_and_one_near_field_per_n_l_seed(self, tmp_path, monkeypatch):
+        config = self.config()
+        # a particle set is told apart by its count and its leftmost position
+        seeds = {(n, float(generate_particles(config.distribution, n, seed, UNIT_DOMAIN, config.sigma).x.min())): seed
+                 for n in config.n_values for seed in config.seeds}
+        built, near = collections.Counter(), collections.Counter()
+        build_tree, near_field = engine.build_tree, engine.near_field
+
+        def counted_build(particles, levels, domain):
+            built[len(particles), levels, seeds[len(particles), float(particles.x.min())]] += 1
+            return build_tree(particles, levels, domain)
+
+        def counted_near(tree, z_sorted, *args):
+            near[len(z_sorted), tree.levels, seeds[len(z_sorted), float(z_sorted.real.min())]] += 1
+            return near_field(tree, z_sorted, *args)
+
+        monkeypatch.setattr(engine, "build_tree", counted_build)
+        monkeypatch.setattr(engine, "near_field", counted_near)
+        _, computed = run_sweep(config, tmp_path / "rows.csv")
+        groups = {(n, lev, seed): 1 for n, lev, _, seed in config.tuples()}
+        assert computed == config.run_count == 3 * len(groups)
+        assert built == near == groups
+
+    @pytest.mark.parametrize("oracle_k", [30, None])
+    def test_rows_and_maps_match_independent_runs(self, tmp_path, oracle_k):
+        config = self.config(oracle_k)
+        cases = [run_case(n, lev, p, seed, oracle_k=oracle_k) for n, lev, p, seed in config.tuples()]
+        out, _ = run_sweep(config, tmp_path / "rows.csv", write_maps=True)
+        assert metric_cells(out.read_text().splitlines()[1:]) == metric_cells(case.csv_row() for case in cases)
+        for case in cases:
+            emap = errors.spatial_map(case.report, UNIT_DOMAIN, config.map_grid)
+            written = tmp_path / "rows_maps" / f"map_n{case.n}_l{case.levels}_p{case.p}_s{case.seed}.csv"
+            assert written.read_text() == errors.error_map_text(emap)
+
+    def test_resume_inside_an_n_l_seed_group(self, tmp_path):
+        config = self.config()
+        out, _ = run_sweep(config, tmp_path / "rows.csv")
+        full = out.read_text().splitlines()
+        # rows (100, 2, 2, 1), (100, 2, 2, 2), (100, 2, 4, 1): (100, 2, 1) has p = 6 left, (100, 2, 2) p = 4 and 6
+        out.write_text("\n".join(full[:4]) + "\n")
+        _, computed = run_sweep(config, out, resume=True)
+        assert computed == config.run_count - 3
+        assert metric_cells(out.read_text().splitlines()) == metric_cells(full)
+
+    def test_every_row_pays_its_groups_recorded_build_and_near_field(self, tmp_path, monkeypatch):
+        config = self.config()
+        calls = []
+
+        def recording(*args, **kwargs):
+            result = engine._evaluate(*args, **kwargs)
+            calls.append(result[1])
+            return result
+
+        monkeypatch.setattr(harness, "_evaluate", recording)
+        out, _ = run_sweep(config, tmp_path / "rows.csv")
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        recorded = {}
+        for (n, lev, _, seed), cells, stats in zip(config.tuples(), rows, calls, strict=True):
+            t_build, t_near = recorded.setdefault((n, lev, seed), (stats.t_build, stats.t_near))
+            assert (stats.t_build, stats.t_near) == (t_build, t_near)
+            # a standalone run's cost: every phase, those this row took from its group included
+            assert stats.t_total >= t_build + t_near + stats.t_upward + stats.t_m2l + stats.t_downward + stats.t_eval
+            assert float(cells[11]) >= float(format(t_near * 1e3, ".3f"))
 
 
 class TestRunSingle:

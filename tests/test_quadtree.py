@@ -17,6 +17,19 @@ from vortexfmm.quadtree import (
 UNIT = Domain(0.0, 0.0, 1.0)
 
 
+def leaf_members(tree, linear: int) -> np.ndarray:
+    """Original indices of the particles in leaf ``linear``: its slice of ``order``."""
+    return tree.order[tree.leaf_starts[linear]:tree.leaf_starts[linear + 1]]
+
+
+def leaf_cells(tree) -> list[CellId]:
+    """Each particle's leaf, read from where ``order`` puts it between the ``leaf_starts``."""
+    linear = np.empty(len(tree.order), dtype=np.int64)
+    linear[tree.order] = np.searchsorted(tree.leaf_starts, np.arange(len(tree.order)), side="right") - 1
+    m = 2**tree.levels
+    return [CellId(tree.levels, int(c % m), int(c // m)) for c in linear]
+
+
 # independent brute-force oracle for interaction lists: enumerate every cell
 # at the level and keep those whose parent is adjacent to ours but which are
 # not in our 3x3 neighborhood
@@ -53,9 +66,9 @@ class TestCellIndex:
 class TestBuildTree:
     def test_single_particle(self):
         tree = build_tree([Particle(0.1, 0.1, 1.0, 0.01)], 2, UNIT)
-        assert tree.leaf_cell_of(0) == CellId(2, 0, 0)
+        assert leaf_cells(tree) == [CellId(2, 0, 0)]
         assert tree.counts[2].sum() == 1
-        assert len(tree.cell(CellId(2, 0, 0)).particle_indices) == 1
+        assert leaf_members(tree, 0).tolist() == [0]
         for linear in range(1, 16):
             assert tree.counts[2][linear] == (0 if linear != 0 else 1)
 
@@ -63,13 +76,14 @@ class TestBuildTree:
         particles = generate_particles("uniform_random", 1000, 1)
         tree = build_tree(particles, 4, UNIT)
         assert tree.counts[4].sum() == 1000
+        cells = leaf_cells(tree)
         for i, (x, y) in enumerate(zip(particles.x.tolist(), particles.y.tolist())):
-            assert tree.leaf_cell_of(i) == cell_index((x, y), 4, UNIT)
+            assert cells[i] == cell_index((x, y), 4, UNIT)
 
     def test_boundary_column_floor_rule(self):
         particles = [Particle(0.5, y, 1.0, 0.01) for y in (0.1, 0.4, 0.9)]
         tree = build_tree(particles, 2, UNIT)
-        assert all(tree.leaf_cell_of(i).ix == 2 for i in range(3))
+        assert [cell.ix for cell in leaf_cells(tree)] == [2, 2, 2]
 
     def test_validations(self):
         particles = [Particle(0.5, 0.5, 1.0, 0.01)]
@@ -81,9 +95,7 @@ class TestBuildTree:
     def test_leaf_slices_partition_particles(self):
         particles = generate_particles("uniform_random", 333, 8)
         tree = build_tree(particles, 3, UNIT)
-        seen = np.concatenate(
-            [tree.order[tree.leaf_slice(c)] for c in range(4**3)]
-        )
+        seen = np.concatenate([leaf_members(tree, c) for c in range(4**3)])
         assert sorted(seen.tolist()) == list(range(333))
 
 
@@ -164,12 +176,12 @@ def test_partition_property_exhaustive_level_3():
 
 def test_cell_view_geometry():
     tree = build_tree([Particle(0.6, 0.6, 1.0, 0.01)], 3, UNIT)
-    cell = tree.cell(CellId(3, 4, 4))
-    assert cell.center == (0.5625, 0.5625)
-    assert cell.half_width == 1.0 / 16.0
+    centers = tree.centers(3)
+    assert centers.shape == (64,)  # no cell (8, 0) at level 3
+    assert centers[4 * 8 + 4] == 0.5625 + 0.5625j
+    assert leaf_members(tree, 4 * 8 + 4).tolist() == [0]
+    assert tree.half_width(3) == 1.0 / 16.0
     assert tree.cell_side(3) == 0.125
-    with pytest.raises(ValueError):
-        tree.cell(CellId(3, 8, 0))
 
 
 def test_counts_aggregate_up_the_tree():
