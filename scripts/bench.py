@@ -12,7 +12,9 @@ perfbench's field_probe (``FIELD_PROBE``: 4096 sources, depth 6, order 40, a
 the ``study.cfg`` slice of seed ``SEED`` (90 runs): its wall time and runs/s,
 the time spent in the oracle's ``velocity_direct`` calls and its share of the
 wall time and the oracle's source-target pairs, and likewise the time spent
-in ``engine.near_field``, its share and its number of calls.  Every repeat
+in ``engine.near_field``, ``engine.translate_pass`` and ``bound_budgets``,
+each one's share and its number of calls, plus the number of M2L products
+(``engine._translate_chunk`` calls).  Every repeat
 runs in a fresh interpreter with one BLAS thread and keeps, per entry, each
 time's minimum over ``CALLS`` in-process calls, so that a slow spell of the
 machine during one call does not count; the file holds the median over
@@ -115,8 +117,13 @@ def measure_sweep() -> dict:
     from vortexfmm import engine, harness
 
     config = dataclasses.replace(harness.parse_sweep_config(ROOT / "study.cfg"), seeds=(SEED,))
-    direct, near = harness.velocity_direct, engine.near_field
-    totals = {"t_oracle": 0.0, "oracle_pairs": 0, "t_near": 0.0, "near_calls": 0}
+    # (module, attribute, key): each wrapped where its callers look it up
+    wrapped = ((engine, "near_field", "near"), (engine, "translate_pass", "translate"),
+               (harness, "bound_budgets", "budgets"))
+    originals = {key: getattr(module, name) for module, name, key in wrapped}
+    direct, chunk = harness.velocity_direct, engine._translate_chunk
+    totals: dict = {}
+    chunks: list = []  # one entry per M2L product; appends are atomic on the chunk threads
 
     def timed_direct(targets, sources, kind):
         t0 = time.perf_counter()
@@ -126,33 +133,48 @@ def measure_sweep() -> dict:
             totals["t_oracle"] += time.perf_counter() - t0
             totals["oracle_pairs"] += len(targets) * len(sources)
 
-    def timed_near(*args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            return near(*args, **kwargs)
-        finally:
-            totals["t_near"] += time.perf_counter() - t0
-            totals["near_calls"] += 1
+    def timed(key):
+        def call(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return originals[key](*args, **kwargs)
+            finally:
+                totals[f"t_{key}"] += time.perf_counter() - t0
+                totals[f"{key}_calls"] += 1
+        return call
+
+    def counted_chunk(*args):
+        chunks.append(None)
+        return chunk(*args)
 
     calls = []
-    harness.velocity_direct, engine.near_field = timed_direct, timed_near
+    harness.velocity_direct, engine._translate_chunk = timed_direct, counted_chunk
+    for module, name, key in wrapped:
+        setattr(module, name, timed(key))
     try:
         with tempfile.TemporaryDirectory() as tmp:
             for _ in range(CALLS):
-                totals.update(t_oracle=0.0, oracle_pairs=0, t_near=0.0, near_calls=0)
+                totals.update(t_oracle=0.0, oracle_pairs=0)
+                totals.update({f"t_{key}": 0.0 for *_, key in wrapped})
+                totals.update({f"{key}_calls": 0 for *_, key in wrapped})
+                chunks.clear()
                 t0 = time.perf_counter()
                 harness.run_sweep(config, Path(tmp) / "sweep.csv")
-                calls.append({"t_sweep": time.perf_counter() - t0, "t_oracle": totals["t_oracle"], "t_near": totals["t_near"]})
+                calls.append({"t_sweep": time.perf_counter() - t0, "t_oracle": totals["t_oracle"],
+                              **{f"t_{key}": totals[f"t_{key}"] for *_, key in wrapped}})
     finally:
-        harness.velocity_direct, engine.near_field = direct, near
+        harness.velocity_direct, engine._translate_chunk = direct, chunk
+        for module, name, key in wrapped:
+            setattr(module, name, originals[key])
     best = {key: min(row[key] for row in calls) for key in calls[0]}
     return {
         **best,
         "runs_per_s": config.run_count / best["t_sweep"],
         "oracle_share": best["t_oracle"] / best["t_sweep"],
-        "near_share": best["t_near"] / best["t_sweep"],
+        **{f"{key}_share": best[f"t_{key}"] / best["t_sweep"] for *_, key in wrapped},
         "oracle_pairs": totals["oracle_pairs"],
-        "near_calls": totals["near_calls"],
+        **{f"{key}_calls": totals[f"{key}_calls"] for *_, key in wrapped},
+        "chunk_calls": len(chunks),
     }
 
 

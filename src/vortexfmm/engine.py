@@ -30,14 +30,16 @@ two every scaling is exact, so results are bit for bit those of physical units.
 
 ``_interaction_stencil`` alone enumerates interaction-list geometry.  A cell's
 list (its parent's neighbors' children minus its own neighbors) spans 27 of
-40 offsets, fixed by its parity class (ix mod 2, iy mod 2).  So M2L is one
-matrix product per level and class against the class's 27 matrices stacked,
-in chunks of at most ``_CHUNK_BYTES`` (1 MiB) of gathered coefficients, and
-the budgets sum over the same stencil.  Classes once cost a matrix set per
-class and level; stacked from the table per order they cost no builds.  The
-chunking is fixed, so runs are bitwise repeatable, but BLAS orders each cell's
-27-term sum itself: last bits differ from a per-offset accumulation (within
-1e-15 of the largest speed).
+40 offsets, fixed by its parity class (ix mod 2, iy mod 2).  A pass keeps all
+its levels in one array with a last, zero row, and ``_pass_stencil`` joins
+each class over the levels, sources outside the domain at the zero row.  So
+M2L is one matrix product per class and pass (four, however deep) against
+the class's 27 matrices stacked, in chunks of at most ``_CHUNK_BYTES`` (1 MiB)
+of gathered coefficients, and the budgets gather their amplitudes once per
+tree on the same stencil.  The chunking is fixed, so runs are bitwise
+repeatable, but BLAS orders each cell's 27-term sum itself: last bits differ
+from a per-offset accumulation (within 1e-15 of the largest speed), and with
+more than one BLAS thread may move with a product's shape.
 
 The full chunks of a pass (``_CHUNK_BYTES`` each), when there are two or
 more, run in parallel: on a pool of one thread per core the process may use
@@ -47,9 +49,9 @@ assigns rows no other chunk writes, so the output does not depend on the
 number of workers or on which thread ran which chunk, only on the BLAS
 library and its thread count per product.  The pass is fastest with one BLAS
 thread per product.  At 4096 particles, depth 6, order 40 (field_probe's
-shape) on a 2-vCPU Xeon VM, M2L took 84-93 ms serial and 47-48 ms on two
+shape) on a 2-vCPU Xeon VM, M2L took 78-89 ms serial and 45-48 ms on two
 threads with one BLAS thread; with unpinned OpenBLAS (two threads per
-product) it took 68 ms serial and 63-76 ms on two threads.
+product) it took 58-65 ms serial and 66-74 ms on two threads.
 
 ``quadtree._quadrants`` alone maps parents to children: a level's four child
 quadrants are writable views shaped like its parent level.  M2M sums one
@@ -143,6 +145,32 @@ def _interaction_stencil(level: int) -> tuple:
     return tuple(classes)
 
 
+def _level_start(level: int) -> int:
+    """First row of ``level`` in a pass array, which holds levels 2, 3, ... in turn."""
+    return (4**level - 16) // 3
+
+
+def _level_views(store: np.ndarray, levels: int) -> list:
+    """Per level, the rows of the pass array ``store`` holding its cells; ``None`` below level 2."""
+    return [None, None] + [store[_level_start(level):_level_start(level + 1)] for level in range(2, levels + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _pass_stencil(levels: int) -> tuple:
+    """Per ``_interaction_stencil`` class, its read-only int32 ``(dest, src)``
+    joined over levels 2..``levels`` (4^(l-1) cells each) as rows of a pass
+    array; sources outside the domain point at the array's last, zero row."""
+    zero, classes = _level_start(levels + 1), []
+    for c in range(4):
+        per_level = [(_level_start(level), *_interaction_stencil(level)[c][1:]) for level in range(2, levels + 1)]
+        dest = np.concatenate([d + start for start, d, _ in per_level]).astype(np.int32)
+        src = np.concatenate([np.where(s < 0, zero, s + start) for start, _, s in per_level]).astype(np.int32)
+        for ids in (dest, src):
+            ids.setflags(write=False)
+        classes.append((dest, src))
+    return tuple(classes)
+
+
 #: Child center minus parent center, in child sides, per ``_quadrants`` quadrant
 _SHIFTS = tuple((cx - 0.5) + 1j * (cy - 0.5) for cy in (0, 1) for cx in (0, 1))
 
@@ -173,8 +201,8 @@ def upward_pass(tree: Tree, z_sorted: np.ndarray, gamma_sorted: np.ndarray, orde
     """Multipole coefficients, in cell-side units, for every cell at levels
     2..leaf, leaf upward.
 
-    Returns a list indexed by level; entries below level 2 are ``None``.
-    Empty cells carry the zero expansion.
+    Returns a list indexed by level (``None`` below level 2) of views of one
+    pass array whose last row is zero.  Empty cells carry the zero expansion.
     """
     levels, p = tree.levels, order
     n = len(z_sorted)
@@ -188,16 +216,14 @@ def upward_pass(tree: Tree, z_sorted: np.ndarray, gamma_sorted: np.ndarray, orde
     # reduceat over nonempty leaves only: their starts are strictly
     # increasing and the gaps of empty leaves have zero width, so consecutive
     # starts delimit exactly one leaf's particle block
-    leaf_mult = np.zeros((4**levels, p + 1), dtype=np.complex128)
+    mult = _level_views(np.zeros((_level_start(levels + 1) + 1, p + 1), dtype=np.complex128), levels)
     occupied = np.flatnonzero(tree.nonempty(levels))
-    leaf_mult[occupied] = np.add.reduceat(powers, tree.leaf_starts[occupied], axis=1).T
+    mult[levels][occupied] = np.add.reduceat(powers, tree.leaf_starts[occupied], axis=1).T
 
     m2m, _, _ = _translations(p)
-    mult: list = [None] * (levels + 1)
-    mult[levels] = leaf_mult
     for level in range(levels, 2, -1):
         quadrants = _quadrants(mult[level], level)
-        mult[level - 1] = sum(q.reshape(-1, p + 1) @ m.T for q, m in zip(quadrants, m2m))
+        mult[level - 1][:] = sum(q.reshape(-1, p + 1) @ m.T for q, m in zip(quadrants, m2m))
     return mult
 
 
@@ -206,35 +232,33 @@ def translate_pass(tree: Tree, multipoles: list, order: int) -> tuple[list, int]
     every cell's interaction list, and the number of translations from
     nonempty sources (empty ones add zero).
 
-    Per level and parity class, one row per cell holds its 27 gathered source
-    expansions (zero outside the domain), and chunks of rows are multiplied
-    by the class's stacked matrix.  A cell is in one class only, so its local
-    is assigned, not accumulated, and no two chunks write the same row: they
-    may run in any order on any thread (see ``_run_chunks``).
+    ``multipoles`` are views of ``upward_pass``'s array; the locals are views
+    of one laid out alike.  Per parity class, one row per cell of every level
+    holds its 27 gathered source expansions (the zero row outside the
+    domain), and chunks of rows are multiplied by the class's stacked matrix.
+    A cell is in one class only, so its local is assigned, not accumulated,
+    and no two chunks write the same row: they may run in any order on any
+    thread (see ``_run_chunks``).
     """
     levels, p = tree.levels, order
     _, m2l, _ = _translations(p)
     rows = max(1, _CHUNK_BYTES // (27 * (p + 1) * 16))
-    locals_: list = [None] * (levels + 1)
-    count = 0
-    full, partial = [], []
-    for level in range(2, levels + 1):
-        loc = locals_[level] = np.empty((4**level, p + 1), dtype=np.complex128)
-        occupied = tree.nonempty(level)
-        for (_, dest, src), stacked in zip(_interaction_stencil(level), m2l):
-            count += int(np.count_nonzero(occupied[src] & (src >= 0)))
-            for a in range(0, len(dest), rows):
-                chunk = (multipoles[level], src[a:a + rows], stacked, loc, dest[a:a + rows])
-                (full if a + rows <= len(dest) else partial).append(chunk)
+    mult = multipoles[levels].base
+    loc = np.empty((len(mult) - 1, p + 1), dtype=np.complex128)
+    occupied = np.concatenate([*tree.counts[2:], [0]]) > 0
+    count, full, partial = 0, [], []
+    for (dest, src), stacked in zip(_pass_stencil(levels), m2l):
+        count += int(np.count_nonzero(occupied[src]))
+        for a in range(0, len(dest), rows):
+            chunk = (mult, src[a:a + rows], stacked, loc, dest[a:a + rows])
+            (full if a + rows <= len(dest) else partial).append(chunk)
     _run_chunks(full, partial)
-    return locals_, count
+    return _level_views(loc, levels), count
 
 
 def _translate_chunk(mult: np.ndarray, ids: np.ndarray, stacked: np.ndarray, loc: np.ndarray, dest: np.ndarray):
     """Assign ``loc[dest]`` the M2L product of the sources ``ids`` (rows of a stencil)."""
-    block = mult[ids]
-    block[ids < 0] = 0.0
-    loc[dest] = block.reshape(len(ids), -1) @ stacked
+    loc[dest] = mult[ids].reshape(len(ids), -1) @ stacked
 
 
 _pool: ThreadPoolExecutor | None = None
@@ -316,10 +340,12 @@ def far_field(tree: Tree, locals_: list, z_sorted: np.ndarray) -> np.ndarray:
     """
     leaf = tree.sorted_leaf
     delta = (z_sorted - tree.centers(tree.levels)[leaf]) / tree.cell_side(tree.levels)
-    coeffs = locals_[tree.levels][leaf]
-    acc = coeffs[:, -1].copy()
-    for k in range(coeffs.shape[1] - 2, -1, -1):
-        acc = acc * delta + coeffs[:, k]
+    # one contiguous row per coefficient, so each Horner step gathers one row
+    columns = locals_[tree.levels].T.copy()
+    acc = columns[-1][leaf]
+    for k in range(len(columns) - 2, -1, -1):
+        acc *= delta
+        acc += columns[k][leaf]
     return acc
 
 
@@ -419,7 +445,22 @@ def _budget_factors(side: float, radius: float, order: int) -> tuple[np.ndarray,
     return classes
 
 
-def bound_budgets(tree: Tree, gamma: np.ndarray, order: int) -> np.ndarray:
+def _budget_gather(tree: Tree, gamma_sorted: np.ndarray) -> np.ndarray:
+    """``bound_budgets``' order-independent part: the read-only (27 x cells)
+    amplitudes (summed |Gamma|, zero outside the domain) of each cell's
+    sources, its columns the rows of the ``_pass_stencil`` classes in turn."""
+    levels = tree.levels
+    amp = np.zeros(_level_start(levels + 1) + 1)
+    by_level = _level_views(amp, levels)
+    by_level[levels][:] = np.bincount(tree.sorted_leaf, np.abs(gamma_sorted), 4**levels)
+    for level in range(levels, 2, -1):
+        by_level[level - 1][:] = sum(_quadrants(by_level[level], level)).ravel()
+    gathered = np.ascontiguousarray(amp[np.concatenate([src for _, src in _pass_stencil(levels)])].T)
+    gathered.setflags(write=False)
+    return gathered
+
+
+def bound_budgets(tree: Tree, gamma: np.ndarray, order: int, _gathered: np.ndarray | None = None) -> np.ndarray:
     """Per-particle truncation budget: the tail bound summed over every
     translation whose result that particle's leaf inherits.
 
@@ -429,33 +470,29 @@ def bound_budgets(tree: Tree, gamma: np.ndarray, order: int) -> np.ndarray:
     A rho^(p+1) / (1 - rho) times the length 2 / (R - r).  This is the
     position-independent worst case over the cell pair.  Budgets are on |f|
     error; velocity error budgets are these over 2 pi.  Each cell's terms are
-    summed along its stencil row, in row-major offset order, by a sequential
-    ``cumsum``: the order of a per-offset loop, so bitwise its result.
-    Leaf amplitudes (summed |Gamma|) are summed up the tree, and each level's
-    totals added down into its children, through the ``_quadrants`` views.
-    The per-offset factors come from ``_budget_factors``, cached by geometry
-    and order.
+    added one stencil offset at a time, in row-major order: the order of a
+    per-offset loop, so bitwise its result.  Each level's totals are added
+    down into its children through the ``_quadrants`` views.  The amplitudes
+    are ``_gathered``, ``_budget_gather``'s result for this tree and
+    ``gamma`` (a sweep keeps it in ``_TreeWork``), or gathered anew; the
+    per-offset factors come from ``_budget_factors``, cached by geometry and
+    order.
     """
     levels, p = tree.levels, order
-    amp = [np.zeros(0)] * (levels + 1)
-    amp[levels] = np.bincount(tree.sorted_leaf, np.abs(gamma[tree.order]), 4**levels)
-    for level in range(levels, 2, -1):
-        amp[level - 1] = sum(_quadrants(amp[level], level)).ravel()
-
-    total = np.zeros(4)
-    for level in range(2, levels + 1):
-        factors = _budget_factors(tree.cell_side(level), SQRT2 * tree.half_width(level), p)
-        cell_budget = np.empty(4**level)
-        for (_, dest, src), factor in zip(_interaction_stencil(level), factors):
-            terms = np.where(src < 0, 0.0, amp[level][src] * factor)
-            cell_budget[dest] = np.cumsum(terms, axis=1)[:, -1]
-        for q in _quadrants(cell_budget, level):
-            q += total.reshape(q.shape)
-        total = cell_budget
-
-    per_sorted = total[tree.sorted_leaf]
+    amp = _budget_gather(tree, gamma[tree.order]) if _gathered is None else _gathered
+    factors = [_budget_factors(tree.cell_side(level), SQRT2 * tree.half_width(level), p)
+               for level in range(2, levels + 1)]
+    # the gather's columns run class by class, each level by level (4^(l-1) cells)
+    per_column = np.repeat(np.stack([f[c] for c in range(4) for f in factors], axis=1),
+                           [4**(level - 1) for _ in range(4) for level in range(2, levels + 1)], axis=1)
+    budget = np.empty(_level_start(levels + 1))
+    budget[np.concatenate([dest for dest, _ in _pass_stencil(levels)])] = functools.reduce(np.add, amp * per_column)
+    by_level = _level_views(budget, levels)
+    for level in range(3, levels + 1):
+        for q in _quadrants(by_level[level], level):
+            q += by_level[level - 1].reshape(q.shape)
     out = np.empty(len(gamma))
-    out[tree.order] = per_sorted
+    out[tree.order] = by_level[levels][tree.sorted_leaf]
     return out
 
 
@@ -463,7 +500,7 @@ class _TreeWork(NamedTuple):
     """The order-independent work of evaluating a particle set at its own
     positions on one tree: the tree, the leaf-sorted positions, circulations
     and core radii, the read-only near-field velocities (sorted order) and
-    pair count, and the seconds the build and the near field took."""
+    pair count, the build and near-field seconds, and ``_budget_gather``'s."""
 
     tree: Tree
     z_sorted: np.ndarray
@@ -473,6 +510,7 @@ class _TreeWork(NamedTuple):
     near_pairs: int
     t_build: float
     t_near: float
+    budget_gather: np.ndarray
 
 
 def _evaluate(
@@ -551,7 +589,8 @@ def _evaluate(
         if shared is not None:
             near_vel.setflags(write=False)
             shared[config.levels] = _TreeWork(
-                tree, z_sorted, gamma_sorted, sigma_sorted, near_vel, stats.near_pair_count, stats.t_build, stats.t_near
+                tree, z_sorted, gamma_sorted, sigma_sorted, near_vel, stats.near_pair_count, stats.t_build, stats.t_near,
+                _budget_gather(tree, gamma_sorted),
             )
         t_shared = 0.0
     else:

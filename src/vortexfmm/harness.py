@@ -255,8 +255,8 @@ def run_case(
     The oracle runs on ``oracle_k`` seeded targets when that is fewer than n,
     otherwise on all of them.  ``_memo``, kept by a sweep for the particles
     of (n, seed), supplies the targets it already holds; the oracle then runs
-    only on the rest.  ``_shared``, kept alongside it, holds the tree and near
-    field of each depth those particles have been evaluated at (see
+    only on the rest.  ``_shared``, kept alongside it, holds each depth's tree,
+    near field and budget gather for those particles (see
     ``engine._evaluate``), so that the orders of one depth compute them once.
     """
     kind = _KERNEL_TOKENS[kernel]
@@ -266,7 +266,8 @@ def run_case(
     velocities, stats, tree = _evaluate(particles, config, domain, _shared=_shared)
 
     positions = np.stack((particles.x, particles.y), axis=1)
-    budgets = bound_budgets(tree, particles.gamma, p)
+    gathered = None if _shared is None else _shared[levels].budget_gather
+    budgets = bound_budgets(tree, particles.gamma, p, _gathered=gathered)
 
     if oracle_k is not None and oracle_k < n:
         rng = np.random.default_rng([seed, n, levels, p, 0x0F5EED])

@@ -34,7 +34,7 @@ from vortexfmm.errors import bound_check, compare
 from vortexfmm.expansions import BoundParams, Expansion, eval_local, eval_multipole, truncation_bound
 from vortexfmm.kernels import _BLOCK, TWO_PI, KernelKind, kernel_eval, velocity_direct
 from vortexfmm.model import Domain, Particle, Particles, generate_particles, to_arrays
-from vortexfmm.quadtree import CellId, build_tree, interaction_list, neighbors
+from vortexfmm.quadtree import CellId, _quadrants, build_tree, interaction_list, neighbors
 
 UNIT = Domain(0.0, 0.0, 1.0)
 POINT = KernelKind.POINT_VORTEX
@@ -117,8 +117,27 @@ def per_offset_budgets(tree, gamma, p):
 
 def serial_translations(mult, levels, p):
     """``translate_pass``'s locals from its chunks run one by one on this
-    thread: per level and stencil class, ``_CHUNK_BYTES`` of gathered
-    sources (zero outside the domain) times the class's stacked matrix."""
+    thread: per stencil class, the class's cells of levels 2..leaf in turn,
+    ``_CHUNK_BYTES`` of gathered sources (zero outside the domain) times the
+    class's stacked matrix.  Returns the per-level locals and rows per chunk."""
+    _, m2l, _ = _translations(p)
+    rows = max(1, engine._CHUNK_BYTES // (27 * (p + 1) * 16))
+    locals_ = [None, None] + [np.full_like(mult[level], np.nan) for level in range(2, levels + 1)]
+    for c, stacked in enumerate(m2l):
+        classes = [(level, *_interaction_stencil(level)[c][1:]) for level in range(2, levels + 1)]
+        block = np.concatenate([np.where((src >= 0)[..., None], mult[level][src], 0.0) for level, _, src in classes])
+        products = np.concatenate([block[a:a + rows].reshape(-1, 27 * (p + 1)) @ stacked
+                                   for a in range(0, len(block), rows)])
+        start = 0
+        for level, dest, _ in classes:
+            locals_[level][dest] = products[start:start + len(dest)]
+            start += len(dest)
+    return locals_, rows
+
+
+def per_level_translations(mult, levels, p):
+    """M2L as chunks of one level and class at a time: the layout before the
+    levels of a pass were joined, at the same ``_CHUNK_BYTES``."""
     _, m2l, _ = _translations(p)
     rows = max(1, engine._CHUNK_BYTES // (27 * (p + 1) * 16))
     locals_ = [None] * (levels + 1)
@@ -129,7 +148,41 @@ def serial_translations(mult, levels, p):
                 ids = src[a:a + rows]
                 block = np.where((ids >= 0)[..., None], mult[level][ids], 0.0)
                 locals_[level][dest[a:a + rows]] = block.reshape(len(ids), -1) @ stacked
-    return locals_, rows
+    return locals_
+
+
+def per_level_budgets(tree, gamma, p):
+    """``bound_budgets`` as a loop over levels and classes, amplitudes summed up
+    and gathered anew per level: the layout before the levels were joined."""
+    levels = tree.levels
+    amp = [None] * (levels + 1)
+    amp[levels] = np.bincount(tree.sorted_leaf, np.abs(gamma[tree.order]), 4**levels)
+    for level in range(levels, 2, -1):
+        amp[level - 1] = sum(_quadrants(amp[level], level)).ravel()
+    total = np.zeros(4)
+    for level in range(2, levels + 1):
+        factors = engine._budget_factors(tree.cell_side(level), engine.SQRT2 * tree.half_width(level), p)
+        cell_budget = np.empty(4**level)
+        for (_, dest, src), factor in zip(_interaction_stencil(level), factors):
+            terms = np.where(src < 0, 0.0, amp[level][src] * factor)
+            cell_budget[dest] = np.cumsum(terms, axis=1)[:, -1]
+        for q in _quadrants(cell_budget, level):
+            q += total.reshape(q.shape)
+        total = cell_budget
+    out = np.empty(len(gamma))
+    out[tree.order] = total[tree.sorted_leaf]
+    return out
+
+
+def run_isolated(script, **env):
+    """Run ``script`` in a fresh interpreter with the package and these tests
+    importable and ``env`` set; returns its stdout, asserting a clean exit."""
+    paths = [str(Path(engine.__file__).parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    return done.stdout
 
 
 def joined_within(threads, seconds=120.0):
@@ -365,8 +418,9 @@ class TestTranslatePass:
         z, g, _ = sorted_arrays(particles, tree)
         mult = upward_pass(tree, z, g, p)
         expected, rows = serial_translations(mult, levels, p)
-        per_class = len(_interaction_stencil(levels)[0][1])
-        # depth 6, p = 40: many full chunks per class; depth 3, p = 4: one partial
+        per_class = sum(len(_interaction_stencil(level)[0][1]) for level in range(2, levels + 1))
+        # a class's chunks run over all its levels: depth 6, p = 40: many full
+        # chunks per class; depth 3, p = 4: one partial
         assert per_class > 10 * rows if levels == 6 else per_class < rows
         locals_, _ = translate_pass(tree, mult, p)
         for level in range(2, levels + 1):
@@ -414,7 +468,7 @@ class TestTranslatePass:
     def test_evaluate_from_a_thread_outliving_the_main_thread(self, pool_made_before):
         # once the main thread has returned, concurrent.futures neither
         # imports nor takes work; the late call must still give the result
-        script = textwrap.dedent(f"""
+        stdout = run_isolated(f"""
             import hashlib, threading, time
             from vortexfmm import engine, model
             particles = model.generate_particles("uniform_random", 2048, 8)
@@ -427,12 +481,36 @@ class TestTranslatePass:
                 print(hashlib.sha256(vel.tobytes()).hexdigest())
             threading.Thread(target=late).start()
         """)
-        src = str(Path(engine.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0 and done.stderr == "", done.stderr
         vel, _ = evaluate(generate_particles("uniform_random", 2048, 8), FmmConfig(6, 8), UNIT)
-        assert done.stdout.split() == [hashlib.sha256(vel.tobytes()).hexdigest()]
+        assert stdout.split() == [hashlib.sha256(vel.tobytes()).hexdigest()]
+
+    def test_one_blas_thread_gives_the_per_level_layouts_result(self):
+        # joining the levels changes every product's shape; with one BLAS
+        # thread a row's bits do not depend on the shape, so the locals and
+        # the budgets stay those of one level and class at a time
+        stdout = run_isolated("""
+            from test_engine import per_level_budgets, per_level_translations, sorted_arrays
+            from vortexfmm import engine
+            from vortexfmm.model import Domain, generate_particles
+            from vortexfmm.quadtree import build_tree
+            for domain in (Domain(0.0, 0.0, 1.0), Domain(-2.0, -1.0, 3.0), Domain(-1.0, 0.5, 2.5)):
+                particles = generate_particles("uniform_random", 3000, 9, domain)
+                for levels, p in ((2, 4), (3, 60), (5, 17), (6, 40)):
+                    tree = build_tree(particles, levels, domain)
+                    z, g, _ = sorted_arrays(particles, tree)
+                    mult = engine.upward_pass(tree, z, g, p)
+                    got, want = engine.translate_pass(tree, mult, p)[0], per_level_translations(mult, levels, p)
+                    if any(got[level].tobytes() != want[level].tobytes() for level in range(2, levels + 1)):
+                        print("translate_pass", domain, levels, p)
+                for levels in range(2, 7):
+                    tree = build_tree(particles, levels, domain)
+                    for order in (1, 4, 13, 40):
+                        got = engine.bound_budgets(tree, particles.gamma, order)
+                        if got.tobytes() != per_level_budgets(tree, particles.gamma, order).tobytes():
+                            print("bound_budgets", domain, levels, order)
+            print("done")
+        """, OPENBLAS_NUM_THREADS="1")
+        assert stdout == "done\n"
 
     def test_each_translation_matrix_built_once_per_order(self, monkeypatch):
         build = expansions.m2l_matrix

@@ -352,7 +352,7 @@ class TestSweepOracleMemo:
 
 
 class TestSweepTreeWork:
-    """Rows of one (n, l, seed) share its tree and near field, which do not depend on p."""
+    """Rows of one (n, l, seed) share its tree, near field and budget gather, which do not depend on p."""
 
     @staticmethod
     def config(oracle_k=30):
@@ -380,6 +380,31 @@ class TestSweepTreeWork:
         groups = {(n, lev, seed): 1 for n, lev, _, seed in config.tuples()}
         assert computed == config.run_count == 3 * len(groups)
         assert built == near == groups
+
+    def test_one_budget_gather_per_n_l_seed_and_standalone_budgets(self, tmp_path, monkeypatch):
+        config = self.config()
+        # a particle set is told apart by its count and its smallest circulation
+        seeds = {(n, float(generate_particles(config.distribution, n, seed, UNIT_DOMAIN, config.sigma).gamma.min())): seed
+                 for n in config.n_values for seed in config.seeds}
+        gathers, rows = collections.Counter(), []
+        gather, budgets = engine._budget_gather, harness.bound_budgets
+
+        def counted_gather(tree, gamma_sorted):
+            gathers[len(gamma_sorted), tree.levels, seeds[len(gamma_sorted), float(gamma_sorted.min())]] += 1
+            return gather(tree, gamma_sorted)
+
+        def recorded_budgets(tree, gamma, order, **kwargs):
+            rows.append((tree, gamma, order, budgets(tree, gamma, order, **kwargs)))
+            return rows[-1][-1]
+
+        monkeypatch.setattr(engine, "_budget_gather", counted_gather)
+        monkeypatch.setattr(harness, "bound_budgets", recorded_budgets)
+        run_sweep(config, tmp_path / "rows.csv")
+        assert gathers == {(n, lev, seed): 1 for n, lev, _, seed in config.tuples()}
+        assert len(rows) == config.run_count
+        monkeypatch.setattr(engine, "_budget_gather", gather)
+        for tree, gamma, order, got in rows:
+            assert got.tobytes() == engine.bound_budgets(tree, gamma, order).tobytes()
 
     @pytest.mark.parametrize("oracle_k", [30, None])
     def test_rows_and_maps_match_independent_runs(self, tmp_path, oracle_k):
