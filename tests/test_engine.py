@@ -180,7 +180,7 @@ def run_isolated(script, **env):
     paths = [str(Path(engine.__file__).parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
     env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env, capture_output=True, text=True,
-                          timeout=300)
+                          timeout=120)
     assert done.returncode == 0 and done.stderr == "", done.stderr
     return done.stdout
 
