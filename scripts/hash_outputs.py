@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Print hashes of vortexfmm's outputs, to check that a change leaves them bitwise equal.
+
+    python3 scripts/hash_outputs.py SRC_DIR
+
+``SRC_DIR`` is the ``src`` directory of the checkout to hash, this one or
+another (say, a ``git clone`` at the parent commit).  Inputs are fixed and
+taken from this checkout (``study.cfg`` included), and only the public API
+and ``run_sweep`` are called, so two checkouts can be compared by diffing
+their output.  Each line is a name and the first 16 hex digits of a SHA-256:
+
+- ``evaluate`` at four shapes: the velocities and, together, ``m2l_count``,
+  ``near_pair_count`` and ``sigma_guard_ok``;
+- ``evaluate_at`` on perfbench's field_probe grid (4096 sources, depth 6,
+  order 40, 128 x 128 cell-centred targets);
+- the metric columns (all but ``t_fmm_ms`` and ``t_direct_ms``) of the
+  seed-1 and seed-2 ``study.cfg`` sweeps, and of the seed-1 sweep cut inside
+  its first (n, l, seed) group, a torn row included, then resumed.
+
+Outputs may depend on the BLAS thread count, so compare two checkouts under
+the same ``OPENBLAS_NUM_THREADS``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+#: name -> (n, depth, order, kernel, sigma, domain as (xmin, ymin, side))
+EVALUATIONS = {
+    "evaluate/4096_d6_p40_point": (4096, 6, 40, "point_vortex", 0.005, (0.0, 0.0, 1.0)),
+    "evaluate/2000_d4_p12_blob": (2000, 4, 12, "gaussian_blob", 0.005, (0.0, 0.0, 1.0)),
+    "evaluate/500_d3_p60_point": (500, 3, 60, "point_vortex", 0.005, (0.0, 0.0, 1.0)),
+    # cores above the sigma guard, so the flag reads False
+    "evaluate/700_d5_p17_blob_offset_domain": (700, 5, 17, "gaussian_blob", 0.05, (-2.0, -1.0, 3.0)),
+}
+SEED = 1
+#: sweep rows kept before the torn row when the cut sweep is resumed
+CUT_ROWS = 4
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.tobytes() if hasattr(part, "tobytes") else repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+def metric_columns(path: Path) -> list[str]:
+    """Every row of a sweep file without its two timing columns (11 and 12)."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    return [",".join(cells[:11] + cells[13:]) for cells in rows]
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(Path(sys.argv[1]).resolve()))
+    import numpy as np
+    from vortexfmm import FmmConfig, evaluate, evaluate_at, harness
+    from vortexfmm.kernels import KernelKind
+    from vortexfmm.model import Domain, generate_particles
+
+    for name, (n, levels, order, kernel, sigma, box) in EVALUATIONS.items():
+        domain = Domain(*box)
+        particles = generate_particles("uniform_random", n, SEED, domain, sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            vel, stats = evaluate(particles, FmmConfig(levels, order, KernelKind(kernel)), domain)
+        print(f"{name}/velocities {digest(vel)}")
+        print(f"{name}/counters {digest(stats.m2l_count, stats.near_pair_count, stats.sigma_guard_ok)}")
+
+    particles = generate_particles("uniform_random", 4096, SEED)
+    axis = (np.arange(128) + 0.5) / 128
+    gx, gy = np.meshgrid(axis, axis)
+    targets = np.stack((gx.ravel(), gy.ravel()), axis=1)
+    print(f"evaluate_at/field_probe {digest(evaluate_at(targets, particles, FmmConfig(6, 40)))}")
+
+    study = harness.parse_sweep_config(ROOT / "study.cfg")
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in (1, 2):
+            out, _ = harness.run_sweep(dataclasses.replace(study, seeds=(seed,)), Path(tmp) / f"s{seed}.csv")
+            print(f"sweep/study_seed{seed} {digest(metric_columns(out))}")
+        cut = Path(tmp) / "s1.csv"
+        lines = cut.read_text().splitlines(keepends=True)
+        cut.write_text("".join(lines[:1 + CUT_ROWS]) + lines[1 + CUT_ROWS][:20])
+        harness.run_sweep(dataclasses.replace(study, seeds=(1,)), cut, resume=True)
+        print(f"sweep/study_seed1_resumed {digest(metric_columns(cut))}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

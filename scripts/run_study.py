@@ -5,6 +5,7 @@ Equivalent to `vortexfmm sweep study.cfg --resume`; safe to interrupt and
 rerun, finished tuples are skipped.
 """
 
+import statistics
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -35,11 +36,7 @@ def main() -> int:
     ps = sorted({p for _, p in pooled})
     print("n\\p " + " ".join(f"{p:>9d}" for p in ps))
     for n in sorted({n for n, _ in pooled}):
-        cells = []
-        for p in ps:
-            vals = sorted(pooled[(n, p)])
-            cells.append(f"{vals[len(vals) // 2]:9.2e}")
-        print(f"{n:<4d}" + " ".join(cells))
+        print(f"{n:<4d}" + " ".join(f"{statistics.median(pooled[(n, p)]):9.2e}" for p in ps))
     return 0
 
 

@@ -17,8 +17,13 @@ Passes, in order:
    order and reduced on their own, so the velocities are bit for bit those of
    a per-target sum.
 
-``evaluate`` runs this one pipeline with the particles themselves as targets;
-``evaluate_at`` runs the same pipeline at arbitrary targets binned into leaves.
+The pipeline runs in two stages, split where the order enters.
+``_tree_work`` does what depends only on the particles, targets and depth:
+the tree, the leaf-sorted arrays, the sigma guard and the near field.
+``_order_run`` does the rest at one order: the three passes and the far
+field.  ``evaluate`` runs both with the particles themselves as targets,
+``evaluate_at`` at arbitrary targets binned into leaves, and a sweep runs
+the first stage once for all the orders of a tree.
 
 Every coefficient is stored in units of its own cell side h: a multipole as
 a_k / h^(k+1), so that P2M sums (Gamma / h) ((z - c) / h)^k, and a local as
@@ -474,7 +479,7 @@ def bound_budgets(tree: Tree, gamma: np.ndarray, order: int, _gathered: np.ndarr
     per-offset loop, so bitwise its result.  Each level's totals are added
     down into its children through the ``_quadrants`` views.  The amplitudes
     are ``_gathered``, ``_budget_gather``'s result for this tree and
-    ``gamma`` (a sweep keeps it in ``_TreeWork``), or gathered anew; the
+    ``gamma`` (a sweep keeps it for each depth), or gathered anew; the
     per-offset factors come from ``_budget_factors``, cached by geometry and
     order.
     """
@@ -497,20 +502,80 @@ def bound_budgets(tree: Tree, gamma: np.ndarray, order: int, _gathered: np.ndarr
 
 
 class _TreeWork(NamedTuple):
-    """The order-independent work of evaluating a particle set at its own
-    positions on one tree: the tree, the leaf-sorted positions, circulations
-    and core radii, the read-only near-field velocities (sorted order) and
-    pair count, the build and near-field seconds, and ``_budget_gather``'s."""
+    """``_tree_work``'s result: the particle tree, sorted positions and
+    circulations, the target tree and sorted targets, the sigma guard's verdict,
+    the read-only sorted near field, its pair count, build and near seconds."""
 
     tree: Tree
     z_sorted: np.ndarray
     gamma_sorted: np.ndarray
-    sigma_sorted: np.ndarray
+    at: Tree
+    zt_sorted: np.ndarray
+    sigma_guard_ok: bool
     near_vel: np.ndarray
     near_pairs: int
     t_build: float
     t_near: float
-    budget_gather: np.ndarray
+
+
+def _tree_work(particles: Particles | Sequence[Particle], levels: int, kernel: KernelKind,
+               domain: Domain | None, targets: np.ndarray | None = None) -> _TreeWork:
+    """The first stage: everything that does not depend on the order.  Targets
+    are the particles unless ``targets`` ((M, 2) positions) are given."""
+    if not particles:
+        raise ValueError("need at least one particle")
+    t0 = time.perf_counter()
+    particles = Particles.of(particles)
+    if domain is None:
+        domain = enclosing_domain(particles)
+    tree = build_tree(particles, levels, domain)
+    z_sorted = (particles.x + 1j * particles.y)[tree.order]
+    gamma_sorted = particles.gamma[tree.order]
+    if targets is None:
+        at, zt_sorted = tree, z_sorted
+    else:
+        at = _leaf_tree(targets[:, 0], targets[:, 1], levels, domain, "target")
+        zt_sorted = (targets[:, 0] + 1j * targets[:, 1])[at.order]
+    t_build = time.perf_counter() - t0
+
+    guard = tree.half_width(levels) / 2.0
+    max_sigma = float(particles.sigma.max()) if kernel is KernelKind.GAUSSIAN_BLOB else 0.0
+    if max_sigma > guard:
+        warnings.warn(
+            f"max core radius {max_sigma:g} exceeds leaf half-width/2 = {guard:g}; "
+            "the far field treats blobs as point vortices, so expect extra error",
+            stacklevel=4,
+        )
+
+    t0 = time.perf_counter()
+    near_vel, pairs = near_field(tree, z_sorted, gamma_sorted, particles.sigma[tree.order], kernel, at, zt_sorted)
+    near_vel.setflags(write=False)
+    return _TreeWork(tree, z_sorted, gamma_sorted, at, zt_sorted, max_sigma <= guard, near_vel, pairs, t_build,
+                     time.perf_counter() - t0)
+
+
+def _order_run(work: _TreeWork, order: int) -> tuple[np.ndarray, FmmRunStats]:
+    """The second stage: the passes and the far field at order ``order``, plus
+    ``work``'s near field.  Returns (u, v) rows in target order and the run
+    statistics; ``t_total`` is this stage's time plus ``work``'s recorded
+    build and near-field time, the cost of a standalone run."""
+    tree = work.tree
+    stats = FmmRunStats(len(work.z_sorted), tree.levels, order, t_build=work.t_build, t_near=work.t_near,
+                        near_pair_count=work.near_pairs, sigma_guard_ok=work.sigma_guard_ok)
+    marks = [time.perf_counter()]
+    multipoles = upward_pass(tree, work.z_sorted, work.gamma_sorted, order)
+    marks.append(time.perf_counter())
+    locals_, stats.m2l_count = translate_pass(tree, multipoles, order)
+    marks.append(time.perf_counter())
+    downward_pass(tree, locals_)
+    marks.append(time.perf_counter())
+    vel_sorted = expansions.f_to_velocity(far_field(work.at, locals_, work.zt_sorted))
+    marks.append(time.perf_counter())
+    stats.t_upward, stats.t_m2l, stats.t_downward, stats.t_eval = np.diff(marks).tolist()
+    velocities = np.empty_like(vel_sorted)
+    velocities[work.at.order] = vel_sorted + work.near_vel
+    stats.t_total = time.perf_counter() - marks[0] + work.t_build + work.t_near
+    return velocities, stats
 
 
 def _evaluate(
@@ -518,90 +583,15 @@ def _evaluate(
     config: FmmConfig,
     domain: Domain | None,
     targets: np.ndarray | None = None,
-    _shared: dict[int, _TreeWork] | None = None,
 ) -> tuple[np.ndarray, FmmRunStats, Tree]:
     """The full pipeline evaluated at ``targets`` ((M, 2) positions), by
-    default at the particles themselves.
+    default at the particles themselves: ``_tree_work``, then ``_order_run``.
 
     Returns (u, v) rows in target order, the run statistics and the particle tree.
-
-    ``_shared``, kept by a sweep for one particle set, domain and kernel, maps
-    a tree depth to its ``_TreeWork``.  It is read only when ``targets`` is
-    None: the depth's tree and near field are then taken from it, or computed
-    and added to it.  Neither depends on the order, so the velocities are bit
-    for bit those of a standalone run.  So are the statistics' counters, and
-    its timings read as a standalone run's cost: ``t_build`` and ``t_near``
-    are the recorded ones, and ``t_total`` is the time of the phases this
-    call ran plus those two.
     """
     config.validate()
-    if not particles:
-        raise ValueError("need at least one particle")
-    stats = FmmRunStats(n=len(particles), levels=config.levels, order=config.order)
-    t_start = time.perf_counter()
-
-    t0 = time.perf_counter()
-    particles = Particles.of(particles)
-    if domain is None:
-        domain = enclosing_domain(particles)
-    shared = _shared if targets is None else None
-    work = None if shared is None else shared.get(config.levels)
-    if work is None:
-        tree = build_tree(particles, config.levels, domain)
-        z_sorted = (particles.x + 1j * particles.y)[tree.order]
-        gamma_sorted = particles.gamma[tree.order]
-        sigma_sorted = particles.sigma[tree.order]
-    else:
-        tree, z_sorted, gamma_sorted, sigma_sorted = work[:4]
-    if targets is None:
-        at, zt_sorted = tree, z_sorted
-    else:
-        at = _leaf_tree(targets[:, 0], targets[:, 1], config.levels, domain, "target")
-        zt_sorted = (targets[:, 0] + 1j * targets[:, 1])[at.order]
-    stats.t_build = time.perf_counter() - t0 if work is None else work.t_build
-
-    if config.kernel is KernelKind.GAUSSIAN_BLOB:
-        guard = tree.half_width(config.levels) / 2.0
-        max_sigma = float(particles.sigma.max())
-        if max_sigma > guard:
-            stats.sigma_guard_ok = False
-            warnings.warn(
-                f"max core radius {max_sigma:g} exceeds leaf half-width/2 = {guard:g}; "
-                "the far field treats blobs as point vortices, so expect extra error",
-                stacklevel=3,
-            )
-
-    marks = [time.perf_counter()]
-    multipoles = upward_pass(tree, z_sorted, gamma_sorted, config.order)
-    marks.append(time.perf_counter())
-    locals_, stats.m2l_count = translate_pass(tree, multipoles, config.order)
-    marks.append(time.perf_counter())
-    downward_pass(tree, locals_)
-    marks.append(time.perf_counter())
-    vel_sorted = expansions.f_to_velocity(far_field(at, locals_, zt_sorted))
-    marks.append(time.perf_counter())
-    stats.t_upward, stats.t_m2l, stats.t_downward, stats.t_eval = np.diff(marks).tolist()
-    if work is None:
-        near_vel, stats.near_pair_count = near_field(
-            tree, z_sorted, gamma_sorted, sigma_sorted, config.kernel, at, zt_sorted
-        )
-        stats.t_near = time.perf_counter() - marks[-1]
-        if shared is not None:
-            near_vel.setflags(write=False)
-            shared[config.levels] = _TreeWork(
-                tree, z_sorted, gamma_sorted, sigma_sorted, near_vel, stats.near_pair_count, stats.t_build, stats.t_near,
-                _budget_gather(tree, gamma_sorted),
-            )
-        t_shared = 0.0
-    else:
-        near_vel, stats.near_pair_count, stats.t_near = work.near_vel, work.near_pairs, work.t_near
-        t_shared = work.t_build + work.t_near
-
-    vel_sorted = vel_sorted + near_vel
-    velocities = np.empty_like(vel_sorted)
-    velocities[at.order] = vel_sorted
-    stats.t_total = time.perf_counter() - t_start + t_shared
-    return velocities, stats, tree
+    work = _tree_work(particles, config.levels, config.kernel, domain, targets)
+    return *_order_run(work, config.order), work.tree
 
 
 def evaluate(

@@ -26,8 +26,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import engine
 from . import errors as errorlab
-from .engine import FmmConfig, _evaluate, bound_budgets, evaluate
+from .engine import FmmConfig, bound_budgets, evaluate
 from .kernels import KernelKind, velocity_direct
 from .model import (
     DISTRIBUTIONS,
@@ -85,6 +86,9 @@ class SweepConfig:
             raise ConfigError(f"config key 'distribution': expected one of {DISTRIBUTIONS}, got {self.distribution!r}")
         if self.oracle_k is not None and self.oracle_k < 1:
             raise ConfigError("config key 'oracle': sample size must be >= 1")
+        for key, values in self._lists().items():
+            if len(set(values)) < len(values):
+                raise ConfigError(f"config key {key!r}: repeated value in {', '.join(map(str, values))}")
         for n in self.n_values:
             _checked("'n'", _check_count, n)
         for seed in self.seeds:
@@ -94,24 +98,20 @@ class SweepConfig:
         _checked("'sigma'", Particles, [0.0], [0.0], [0.0], [self.sigma])
         _checked("'map_grid'", errorlab._check_grid, self.map_grid)
 
+    def _lists(self) -> dict[str, tuple[int, ...]]:
+        return {"n": self.n_values, "levels": self.l_values, "p": self.p_values, "seeds": self.seeds}
+
     @property
     def run_count(self) -> int:
-        return len(self.n_values) * len(self.l_values) * len(self.p_values) * len(self.seeds)
+        return math.prod(map(len, self._lists().values()))
 
     def tuples(self):
-        """Canonical lexicographic run order."""
-        for n in sorted(self.n_values):
-            for lev in sorted(self.l_values):
-                for p in sorted(self.p_values):
-                    for seed in sorted(self.seeds):
-                        yield n, lev, p, seed
+        """Canonical lexicographic run order: (n, levels, p, seed)."""
+        return itertools.product(*map(sorted, self._lists().values()))
 
     def meta(self) -> dict:
         return {
-            "n": sorted(self.n_values),
-            "levels": sorted(self.l_values),
-            "p": sorted(self.p_values),
-            "seeds": sorted(self.seeds),
+            **{key: sorted(values) for key, values in self._lists().items()},
             "distribution": self.distribution,
             "kernel": self.kernel,
             "sigma": self.sigma,
@@ -176,21 +176,33 @@ def parse_sweep_config(path) -> SweepConfig:
     )
 
 
-class _DirectMemo:
-    """Direct velocities of one particle set's targets, kept as they are computed.
+class _ParticleSet:
+    """One particle set on one domain and kernel, and what its runs share.
 
-    A sweep keeps one for each (n, seed), so that a target sampled by several
-    of its runs goes through the oracle once.  That is exact: each target's
-    direct value is its own sequential sum over the sources.  Each target also
-    keeps its share of the time of the call that computed it (call time over
-    the targets in the call), so a run's oracle time is the sum of the shares
-    of its sample.
+    A sweep keeps one for each (n, seed).  Its runs share the oracle: each
+    target's direct velocity is computed once, as its own sequential sum over
+    the sources, and keeps its share of the time of the call that computed
+    it (call time over the targets in the call), so a run's oracle time is
+    the sum of the shares of its sample.  The runs of one depth share the
+    order-independent work, ``engine._tree_work``, and the bound budgets'
+    amplitudes, ``engine._budget_gather``, both recomputed when the depth
+    changes.  Either is exact: results are bit for bit a standalone run's.
     """
 
-    def __init__(self, n: int):
-        self.direct = np.empty((n, 2))
-        self.cost_ms = np.zeros(n)
-        self.known = np.zeros(n, dtype=bool)
+    def __init__(self, particles: Particles, domain: Domain, kind: KernelKind):
+        self.particles, self.domain, self.kind = particles, domain, kind
+        self.positions = np.stack((particles.x, particles.y), axis=1)
+        self.direct = np.empty((len(particles), 2))
+        self.cost_ms = np.zeros(len(particles))
+        self.known = np.zeros(len(particles), dtype=bool)
+        self.work = self.gathered = None
+
+    def at_depth(self, levels: int) -> tuple[engine._TreeWork, np.ndarray]:
+        """The order-independent work and the budget amplitudes at depth ``levels``."""
+        if self.work is None or self.work.tree.levels != levels:
+            self.work = engine._tree_work(self.particles, levels, self.kind, self.domain)
+            self.gathered = engine._budget_gather(self.work.tree, self.work.gamma_sorted)
+        return self.work, self.gathered
 
 
 @dataclass
@@ -247,27 +259,25 @@ def run_case(
     domain: Domain = UNIT_DOMAIN,
     oracle_k: int | None = None,
     particles: Particles | None = None,
-    _memo: _DirectMemo | None = None,
-    _shared: dict | None = None,
+    _set: _ParticleSet | None = None,
 ) -> CaseResult:
     """Generate (or take) particles, run the fast evaluation and the oracle, compare.
 
     The oracle runs on ``oracle_k`` seeded targets when that is fewer than n,
-    otherwise on all of them.  ``_memo``, kept by a sweep for the particles
-    of (n, seed), supplies the targets it already holds; the oracle then runs
-    only on the rest.  ``_shared``, kept alongside it, holds each depth's tree,
-    near field and budget gather for those particles (see
-    ``engine._evaluate``), so that the orders of one depth compute them once.
+    otherwise on all of them.  ``_set``, kept by a sweep for the particles of
+    (n, seed), supplies them, the oracle values and the depth's work it
+    already holds; a run without one makes its own.
     """
     kind = _KERNEL_TOKENS[kernel]
-    if particles is None:
-        particles = generate_particles(distribution, n, seed, domain, sigma)
-    config = FmmConfig(levels=levels, order=p, kernel=kind)
-    velocities, stats, tree = _evaluate(particles, config, domain, _shared=_shared)
-
-    positions = np.stack((particles.x, particles.y), axis=1)
-    gathered = None if _shared is None else _shared[levels].budget_gather
-    budgets = bound_budgets(tree, particles.gamma, p, _gathered=gathered)
+    if _set is None:
+        if particles is None:
+            particles = generate_particles(distribution, n, seed, domain, sigma)
+        _set = _ParticleSet(particles, domain, kind)
+    FmmConfig(levels=levels, order=p, kernel=kind).validate()
+    work, gathered = _set.at_depth(levels)
+    velocities, stats = engine._order_run(work, p)
+    particles, positions = _set.particles, _set.positions
+    budgets = bound_budgets(work.tree, particles.gamma, p, _gathered=gathered)
 
     if oracle_k is not None and oracle_k < n:
         rng = np.random.default_rng([seed, n, levels, p, 0x0F5EED])
@@ -277,15 +287,14 @@ def run_case(
         sample = np.arange(n)
         sampled = 0
 
-    memo = _DirectMemo(n) if _memo is None else _memo
-    missing = sample[~memo.known[sample]]
+    missing = sample[~_set.known[sample]]
     if len(missing):
         t0 = time.perf_counter()
-        memo.direct[missing] = velocity_direct(positions[missing], particles, kind)
-        memo.cost_ms[missing] = (time.perf_counter() - t0) * 1e3 / len(missing)
-        memo.known[missing] = True
-    direct = memo.direct[sample]
-    t_direct_ms = float(memo.cost_ms[sample].sum())
+        _set.direct[missing] = velocity_direct(positions[missing], particles, kind)
+        _set.cost_ms[missing] = (time.perf_counter() - t0) * 1e3 / len(missing)
+        _set.known[missing] = True
+    direct = _set.direct[sample]
+    t_direct_ms = float(_set.cost_ms[sample].sum())
 
     report = errorlab.compare(velocities[sample], direct, positions[sample], budgets[sample])
     violations = len(errorlab.bound_check(report))
@@ -463,13 +472,12 @@ def run_sweep(
     computed rows.
 
     Tuples run in n, l, p, seed order.  Each (n, seed)'s particles are
-    generated once, and its rows share their oracle sums (``_DirectMemo``)
-    and, per depth l, the tree and the near field, which do not depend on p:
-    the first row of each (n, l, seed) computes them and its other orders
-    reuse them.  A row's ``t_fmm_ms`` still reads as a standalone run's cost,
-    the recorded build and near-field time included.  The tree and near field
-    are dropped when l changes, the rest when n changes.  ``progress``
-    receives one line per computed row.
+    generated once into a ``_ParticleSet``, and its rows share their oracle
+    sums and, per depth l, the order-independent work: the first row of each
+    (n, l, seed) computes it and its other orders reuse it.  A row's
+    ``t_fmm_ms`` still reads as a standalone run's cost, the recorded build
+    and near-field time included.  The sets are dropped when n changes.
+    ``progress`` receives one line per computed row.
     """
     out = Path(out_path) if out_path is not None else Path(config.out)
     meta_file = _meta_path(out)
@@ -497,7 +505,7 @@ def run_sweep(
         maps_dir.mkdir(parents=True, exist_ok=True)
 
     computed = 0
-    memo_n, memos = None, {}  # the particles, memo and shared work of the current n, by seed
+    sets_n, sets = None, {}  # the particle sets of the current n, by seed
     with open(out, mode) as fh:
         if mode == "w":
             fh.write(SWEEP_HEADER + "\n")
@@ -505,14 +513,11 @@ def run_sweep(
         for n, lev, p, seed in config.tuples():
             if (n, lev, p, seed) in done:
                 continue
-            if n != memo_n:  # tuples run in n order: the last n's particles are done with
-                memo_n, memos = n, {}
-            if seed not in memos:
+            if n != sets_n:  # tuples run in n order: the last n's particles are done with
+                sets_n, sets = n, {}
+            if seed not in sets:
                 particles = generate_particles(config.distribution, n, seed, UNIT_DOMAIN, config.sigma)
-                memos[seed] = particles, _DirectMemo(n), {}
-            particles, memo, shared = memos[seed]
-            if lev not in shared:  # tuples run in l order: the last depth's work is done with
-                shared.clear()
+                sets[seed] = _ParticleSet(particles, UNIT_DOMAIN, _KERNEL_TOKENS[config.kernel])
             case = run_case(
                 n,
                 lev,
@@ -523,9 +528,7 @@ def run_sweep(
                 config.sigma,
                 UNIT_DOMAIN,
                 config.oracle_k,
-                particles,
-                _memo=memo,
-                _shared=shared,
+                _set=sets[seed],
             )
             # the map goes first: a row marks its tuple done, map included
             if write_maps:
@@ -589,6 +592,12 @@ def timing_study(
     t = t_max * (n / n_max)^2, which stays positive (flagged per row).  Runs
     strictly sequentially.
     """
+    if not n_values:
+        raise ValueError("n_values is empty: no n to time")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if min(n_values) > direct_cutoff:
+        raise ValueError("direct_cutoff excludes every requested n; nothing to extrapolate from")
     rows: list[tuple[int, int, float, float | None]] = []
     measured: list[tuple[int, float]] = []
     for n in sorted(n_values):
@@ -610,8 +619,6 @@ def timing_study(
             measured.append((n, t_direct))
         rows.append((n, lev, t_fmm, t_direct))
 
-    if not measured:
-        raise ValueError("direct_cutoff excludes every requested n; nothing to extrapolate from")
     n_max, t_max = measured[-1]
 
     out_rows = []

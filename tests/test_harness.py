@@ -68,6 +68,8 @@ class TestConfigParsing:
             ("sigma = 0", "sigma"),
             ("sigma = nan", "sigma"),
             ("map_grid = 0", "map_grid"),
+            ("n = 100, 100", "n"),
+            ("seeds = 1, 1", "seeds"),
         ],
     )
     def test_bad_value_rejected_before_any_output(self, tmp_path, line, key):
@@ -431,12 +433,14 @@ class TestSweepTreeWork:
         config = self.config()
         calls = []
 
-        def recording(*args, **kwargs):
-            result = engine._evaluate(*args, **kwargs)
+        order_run = engine._order_run
+
+        def recording(work, order):
+            result = order_run(work, order)
             calls.append(result[1])
             return result
 
-        monkeypatch.setattr(harness, "_evaluate", recording)
+        monkeypatch.setattr(engine, "_order_run", recording)
         out, _ = run_sweep(config, tmp_path / "rows.csv")
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         recorded = {}
@@ -514,6 +518,15 @@ class TestTiming:
         assert cli.main(["timing", "--out", str(tmp_path / "t.csv")]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == [harness.TIMING_HEADER, *(r.csv_row() for r in rows), last, f"wrote {tmp_path / 't.csv'}"]
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [(["--n-list", ""], "n_values"), (["--n-list", "64", "--repeats", "0"], "repeats")],
+    )
+    def test_empty_or_zero_input_is_named(self, tmp_path, capsys, args, named):
+        assert cli.main(["timing", *args, "--out", str(tmp_path / "t.csv")]) == 2
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_occupancy_policy(self):
         assert occupancy_levels(256, 8) == 3
