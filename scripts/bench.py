@@ -8,7 +8,9 @@ depth (8 particles per leaf), order 8 and both kernels, it times every
 ``FmmRunStats`` phase plus ``velocity_direct`` of 512 targets against the same
 N sources.  It times every phase of ``evaluate_at`` at the shape of
 perfbench's field_probe (``FIELD_PROBE``: 4096 sources, depth 6, order 40, a
-128 x 128 grid of cell-centred targets).  It also times ``run_sweep`` over
+128 x 128 grid of cell-centred targets), and that workload's set-up oracle
+as ``t_oracle``: ``velocity_direct`` of 4096 of the grid targets (every
+fourth) against the 4096 sources.  It also times ``run_sweep`` over
 the ``study.cfg`` slice of seed ``SEED`` (90 runs): its wall time and runs/s,
 the time spent in the oracle's ``velocity_direct`` calls and its share of the
 wall time and the oracle's source-target pairs, and likewise the time spent
@@ -93,9 +95,10 @@ def measure_once() -> dict:
 
 
 def measure_field_probe() -> dict:
-    """Every phase of ``evaluate_at`` at the ``FIELD_PROBE`` shape, min over ``CALLS`` calls after one warm-up."""
+    """Every phase of ``evaluate_at`` at the ``FIELD_PROBE`` shape, min over ``CALLS`` calls after one
+    warm-up, and ``t_oracle``, min over ``CALLS`` calls."""
     import numpy as np
-    from vortexfmm import engine, model
+    from vortexfmm import engine, kernels, model
 
     particles = model.generate_particles("uniform_random", FIELD_PROBE["n"], SEED)
     axis = (np.arange(FIELD_PROBE["grid"]) + 0.5) / FIELD_PROBE["grid"]
@@ -106,7 +109,13 @@ def measure_field_probe() -> dict:
     for _ in range(CALLS + 1):
         _, stats, _ = engine._evaluate(particles, config, model.UNIT_DOMAIN, targets)
         calls.append({phase: getattr(stats, phase) for phase in PHASES})
-    return {**{key: min(row[key] for row in calls[1:]) for key in PHASES}, "levels": FIELD_PROBE["levels"]}
+    oracle = []
+    for _ in range(CALLS):
+        t0 = time.perf_counter()
+        kernels.velocity_direct(targets[::4], particles, config.kernel)
+        oracle.append(time.perf_counter() - t0)
+    return {**{key: min(row[key] for row in calls[1:]) for key in PHASES}, "t_oracle": min(oracle),
+            "levels": FIELD_PROBE["levels"]}
 
 
 def measure_sweep() -> dict:

@@ -13,6 +13,10 @@ their output.  Each line is a name and the first 16 hex digits of a SHA-256:
   ``near_pair_count`` and ``sigma_guard_ok``;
 - ``evaluate_at`` on perfbench's field_probe grid (4096 sources, depth 6,
   order 40, 128 x 128 cell-centred targets);
+- the direct oracle ``velocity_direct`` at four shapes (``ORACLES``):
+  field_probe's (4096 of its grid targets against its 4096 sources), 2000
+  particles at themselves with the blob kernel, one target, and more targets
+  than one block of pairs holds (so one source per block);
 - the metric columns (all but ``t_fmm_ms`` and ``t_direct_ms``) of the
   seed-1 and seed-2 ``study.cfg`` sweeps, and of the seed-1 sweep cut inside
   its first (n, l, seed) group, a torn row included, then resumed.
@@ -39,6 +43,15 @@ EVALUATIONS = {
     # cores above the sigma guard, so the flag reads False
     "evaluate/700_d5_p17_blob_offset_domain": (700, 5, 17, "gaussian_blob", 0.05, (-2.0, -1.0, 3.0)),
 }
+#: name -> (targets, sources, kernel, sigma); targets "grid" is every fourth
+#: point of the field_probe grid, "self" the sources' own positions, an int
+#: that many uniform points
+ORACLES = {
+    "velocity_direct/field_probe_4096_grid_targets": ("grid", 4096, "point_vortex", 0.005),
+    "velocity_direct/2000_self_blob": ("self", 2000, "gaussian_blob", 0.05),
+    "velocity_direct/1_target_4096": (1, 4096, "point_vortex", 0.005),
+    "velocity_direct/20000_targets_300": (20000, 300, "point_vortex", 0.005),
+}
 SEED = 1
 #: sweep rows kept before the torn row when the cut sweep is resumed
 CUT_ROWS = 4
@@ -64,7 +77,7 @@ def main() -> int:
     sys.path.insert(0, str(Path(sys.argv[1]).resolve()))
     import numpy as np
     from vortexfmm import FmmConfig, evaluate, evaluate_at, harness
-    from vortexfmm.kernels import KernelKind
+    from vortexfmm.kernels import KernelKind, velocity_direct
     from vortexfmm.model import Domain, generate_particles
 
     for name, (n, levels, order, kernel, sigma, box) in EVALUATIONS.items():
@@ -81,6 +94,16 @@ def main() -> int:
     gx, gy = np.meshgrid(axis, axis)
     targets = np.stack((gx.ravel(), gy.ravel()), axis=1)
     print(f"evaluate_at/field_probe {digest(evaluate_at(targets, particles, FmmConfig(6, 40)))}")
+
+    for name, (where, n, kernel, sigma) in ORACLES.items():
+        sources = generate_particles("uniform_random", n, SEED, sigma=sigma)
+        if where == "grid":
+            at = targets[::4]
+        elif where == "self":
+            at = np.stack((sources.x, sources.y), axis=1)
+        else:
+            at = np.random.default_rng(SEED).uniform(size=(where, 2))
+        print(f"{name} {digest(velocity_direct(at, sources, KernelKind(kernel)))}")
 
     study = harness.parse_sweep_config(ROOT / "study.cfg")
     with tempfile.TemporaryDirectory() as tmp:

@@ -78,7 +78,7 @@ import numpy as np
 
 from . import expansions
 from .expansions import BoundParams, truncation_bound
-from .kernels import _BLOCK, KernelKind, _pair_velocity
+from .kernels import _BLOCK, KernelKind, _check_kind, _pair_scratch, _pair_velocity
 from .model import Domain, Particle, Particles, enclosing_domain
 from .quadtree import Tree, _leaf_tree, _quadrants, build_tree
 
@@ -100,6 +100,7 @@ class FmmConfig:
         if self.levels < 2:
             raise ValueError(f"levels must be >= 2, got {self.levels}")
         expansions._check_order(self.order)
+        _check_kind(self.kernel)
 
 
 @dataclass
@@ -376,9 +377,10 @@ def near_field(
     of the sorted particles.  Targets are taken in ascending order of their
     source count n, and their pairs are laid end to end in chunks of about
     ``_BLOCK`` pairs (more only when one target alone has more), so no
-    temporary grows with N.  Each run of targets with equal n in a chunk is a
-    C-contiguous (targets x n) array, reduced with ``.sum(axis=1)``, which
-    sums every row on its own.  The result is therefore bit for bit that of
+    temporary grows with N.  Every chunk's terms are computed in one pair
+    scratch, sized to the largest chunk.  Each run of targets with equal n in
+    a chunk is a C-contiguous (targets x n) array, reduced with
+    ``.sum(axis=1)``, which sums every row on its own.  The result is therefore bit for bit that of
     summing every target's sources separately, whatever the chunking.
     """
     if targets is None:
@@ -410,6 +412,7 @@ def near_field(
 
     xs_all, ys_all, xt_all, yt_all = z_sorted.real, z_sorted.imag, zt_sorted.real, zt_sorted.imag
     blob = kind is KernelKind.GAUSSIAN_BLOB
+    scratch = _pair_scratch(int(np.max(end[chunks[1:] - 1] - first[chunks[:-1]], initial=0)))
     u = np.empty(len(leaf))
     v = np.empty(len(leaf))
     for i in range(len(chunks) - 1):
@@ -421,7 +424,7 @@ def near_field(
         t, k = target[a:b], n[a:b]
         du, dv = _pair_velocity(
             np.repeat(xt_all[t], k), np.repeat(yt_all[t], k), xs_all[src], ys_all[src],
-            gamma_sorted[src], sigma_sorted[src] if blob else None, kind,
+            gamma_sorted[src], sigma_sorted[src] if blob else None, kind, scratch,
         )
         cuts = runs[run_at[i]:run_at[i + 1] + 1].tolist()
         for r0, r1 in zip(cuts[:-1], cuts[1:]):

@@ -24,8 +24,10 @@ from .model import Particle, Particles
 TWO_PI = 2.0 * math.pi
 
 #: Target-source pairs per block of the direct sums (here and the engine's
-#: near field): 2^13 float64 elements keep each block temporary at 64 KiB.
-_BLOCK = 2**13
+#: near field): 2^14 float64 elements keep each row of the pair scratch at
+#: 128 KiB, and the scratch (640 KiB) in a core's L2 cache.  Halving it
+#: slowed a 4096 x 4096 oracle by a quarter, through per-block Python costs.
+_BLOCK = 2**14
 
 
 class KernelKind(enum.Enum):
@@ -53,6 +55,17 @@ def kernel_eval(target: tuple[float, float], source: Particle, kind: KernelKind)
     return ComplexVelocity(-c * dy, c * dx)
 
 
+def _check_kind(kind) -> None:
+    """Reject a kernel that is not a :class:`KernelKind` (a string would run the point kernel)."""
+    if not isinstance(kind, KernelKind):
+        raise TypeError(f"kernel must be a KernelKind, got {kind!r}")
+
+
+def _pair_scratch(pairs: int) -> np.ndarray:
+    """Scratch for :func:`_pair_velocity` calls of up to ``pairs`` pairs each."""
+    return np.empty((5, pairs))
+
+
 def _pair_velocity(
     xt: np.ndarray,
     yt: np.ndarray,
@@ -61,21 +74,46 @@ def _pair_velocity(
     gamma_s: np.ndarray,
     sigma_s: np.ndarray | None,
     kind: KernelKind,
+    scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) terms of target-source pairs, kernel_eval arithmetic.
+    """(u, v) terms of target-source pairs, kernel_eval arithmetic, computed in ``scratch``.
 
     The arguments broadcast to one entry per pair (``sigma_s`` for the blob
-    kernel only); a coincident pair gives zero terms.
+    kernel only); a coincident pair gives zero terms.  ``scratch`` comes from
+    :func:`_pair_scratch` with room for every pair, and the terms returned are
+    C-ordered views of it in the broadcast shape, so nothing is allocated per
+    pair.  Each step is kernel_eval's operation, or one equal to it bit for
+    bit: ``square(dx)`` for ``dx * dx``, ``-(c * dy)`` for ``-c * dy`` and
+    ``-(r2 / s)`` for ``-r2 / s``.
     """
-    dx = xt - xs
-    dy = yt - ys
-    r2 = dx * dx + dy * dy
-    mask = r2 > 0.0
-    c = np.zeros_like(r2)
-    np.divide(gamma_s, TWO_PI * r2, out=c, where=mask)
+    shape = np.broadcast(xt, xs).shape
+    size = math.prod(shape)
+    dx, dy, r2, c, _ = scratch[:, :size].reshape((5, *shape))
+    np.subtract(xt, xs, out=dx)
+    np.subtract(yt, ys, out=dy)
+    np.square(dx, out=r2)
+    np.square(dy, out=c)
+    r2 += c
+    # c = gamma / (2 pi r2) where r2 > 0, else 2 pi * (+0) = +0; the mask is
+    # a bool view of the spare row
+    mask = scratch[4].view(np.bool_)[:size].reshape(shape)
+    np.greater(r2, 0.0, out=mask)
+    np.multiply(r2, TWO_PI, out=c)
+    np.divide(gamma_s, c, out=c, where=mask)
     if kind is KernelKind.GAUSSIAN_BLOB:
-        c = c * (1.0 - np.exp(-r2 / (2.0 * sigma_s * sigma_s)))
-    return -c * dy, c * dx
+        # c *= 1 - exp(-r2 / (2 sigma^2)), 2 sigma^2 in sigma_s's own shape
+        s = scratch[4, :np.size(sigma_s)].reshape(np.shape(sigma_s))
+        np.multiply(sigma_s, 2.0, out=s)
+        s *= sigma_s
+        np.divide(r2, s, out=r2)
+        np.negative(r2, out=r2)
+        np.exp(r2, out=r2)
+        np.subtract(1.0, r2, out=r2)
+        c *= r2
+    np.multiply(c, dy, out=dy)
+    np.negative(dy, out=dy)
+    np.multiply(c, dx, out=dx)
+    return dy, dx
 
 
 def velocity_direct(
@@ -101,25 +139,38 @@ def velocity_direct(
     kernel, one that takes numpy's exp, which can differ from ``math.exp`` in
     the last bit).  Each target's value is its own sequential sum, whatever
     other targets share the call.  The terms of a block of whole sources,
-    about ``_BLOCK`` pairs, are computed at once and added to the running
-    sums in source order by :func:`_add_rows`: one sequential reduction per
-    block, a ``cumsum`` at M = 1 (where numpy would sum pairwise), and row
-    by row for blocks of at most four sources.  So the blocking never
-    changes a bit.
+    about ``_BLOCK`` pairs, are computed at once, in one scratch that the
+    call reuses for every block, and added to the running sums in source
+    order by :func:`_add_rows`: one sequential reduction per block, a
+    ``cumsum`` at M = 1 (where numpy would sum pairwise), and row by row for
+    blocks of at most four sources.  So the blocking never changes a bit.
+
+    Raises ``ValueError`` naming the first target that is not finite, and
+    ``TypeError`` for a ``kind`` that is not a :class:`KernelKind`.
     """
+    _check_kind(kind)
     pts = np.asarray(targets, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"targets must have shape (M, 2), got {pts.shape}")
-    tx, ty = pts.T
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"target {i} is not finite: {tuple(pts[i].tolist())}")
+    if len(pts) == 0:
+        return np.zeros((0, 2))
+    tx, ty = np.ascontiguousarray(pts.T)
     src = Particles.of(sources)
     sx, sy, gamma, sigma = src.x, src.y, src.gamma, src.sigma
 
     u = np.zeros(len(pts))
     v = np.zeros(len(pts))
-    step = max(1, _BLOCK // max(len(pts), 1))
+    step = max(1, _BLOCK // len(pts))
+    scratch = _pair_scratch(min(step, len(src)) * len(pts))
     for lo in range(0, len(src), step):
         blk = slice(lo, lo + step)
-        du, dv = _pair_velocity(tx, ty, sx[blk, None], sy[blk, None], gamma[blk, None], sigma[blk, None], kind)
+        du, dv = _pair_velocity(
+            tx, ty, sx[blk, None], sy[blk, None], gamma[blk, None], sigma[blk, None], kind, scratch
+        )
         _add_rows(u, du)
         _add_rows(v, dv)
     return np.stack((u, v), axis=1)
@@ -132,7 +183,7 @@ def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
     ``np.add.reduce`` over the strided axis 0 of the C-ordered (k, M) block.
     At M = 1 that axis is contiguous, and numpy would sum it pairwise, so the
     sequential ``cumsum`` takes its place.  Blocks of at most four rows
-    (every block once M > 1638) keep the in-place row adds, which measured
+    (every block once M > 3276) keep the in-place row adds, which measured
     faster there than the reduction's set-up.  ``rows`` is overwritten.
     """
     if len(rows) <= 4:

@@ -209,6 +209,13 @@ class TestConfig:
             FmmConfig(levels=3, order=61).validate()
         FmmConfig(levels=2, order=0).validate()
 
+    def test_kernel_must_be_a_kernel_kind(self):
+        # the string used to run the point kernel, bit for bit
+        with pytest.raises(TypeError, match="KernelKind"):
+            FmmConfig(3, 8, "gaussian_blob").validate()
+        with pytest.raises(TypeError, match="KernelKind"):
+            evaluate(generate_particles("uniform_random", 50, 1, sigma=0.05), FmmConfig(3, 8, "gaussian_blob"), UNIT)
+
 
 class TestUpwardPass:
     # the pass stores a_k / h^(k+1), h the cell side; these tests read a_k
@@ -640,7 +647,7 @@ class TestNearField:
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_bitwise_targets_with_more_sources_than_a_chunk(self, kind):
-        particles = generate_particles("uniform_random", 16000, 4, sigma=0.001)
+        particles = generate_particles("uniform_random", 32000, 4, sigma=0.001)
         tree = build_tree(particles, 2, UNIT)
         z, g, s = sorted_arrays(particles, tree)
         probes = [Particle(x, y, 0.0, 1.0) for x, y in np.random.default_rng(5).random((30, 2))] + CORNERS

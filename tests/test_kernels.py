@@ -128,6 +128,82 @@ def test_pairwise_block_sum_fails_the_bit_for_bit_check(monkeypatch):
     assert not np.array_equal(velocity_direct(targets, sources, POINT), scalar_direct(targets, sources, POINT))
 
 
+def reference_terms(xt, yt, xs, ys, gamma, sigma, kind):
+    """The pair terms with one temporary per step: the arithmetic whose bits
+    the in-place kernel must keep."""
+    dx = xt - xs
+    dy = yt - ys
+    r2 = dx * dx + dy * dy
+    c = np.zeros_like(r2)
+    np.divide(gamma, TWO_PI * r2, out=c, where=r2 > 0.0)
+    if kind is BLOB:
+        c = c * (1.0 - np.exp(-r2 / (2.0 * sigma * sigma)))
+    return -c * dy, c * dx
+
+
+def scalar_term(tx, ty, src, kind):
+    """kernel_eval for the point kernel; its arithmetic with numpy's exp for the blob."""
+    if kind is POINT:
+        return kernel_eval((tx, ty), src, POINT)
+    dx, dy = tx - src.x, ty - src.y
+    r2 = dx * dx + dy * dy
+    c = 0.0 if r2 == 0.0 else src.gamma / (TWO_PI * r2)
+    c = c * (1.0 - np.exp(-r2 / (2.0 * src.sigma * src.sigma)))
+    return -c * dy, c * dx
+
+
+@pytest.mark.parametrize("kind", [POINT, BLOB])
+@pytest.mark.parametrize("broadcast", [False, True])
+def test_pair_velocity_in_scratch_keeps_every_term(kind, broadcast):
+    # 6 sources with both signs of circulation, cores near the pair distances,
+    # and one target on a source (a coincident pair)
+    rng = np.random.default_rng(3)
+    sources = Particles(rng.uniform(size=6), rng.uniform(size=6), [1.5, -0.7, 2.0, -3.1, 0.4, -1e-3],
+                        rng.uniform(0.05, 0.5, size=6))
+    targets = rng.uniform(size=(5, 2))
+    targets[2] = sources.x[4], sources.y[4]
+    if broadcast:  # the oracle's (k, 1) x (M,) block
+        xt, yt = targets.T
+        xs, ys, gamma, sigma = (field[:, None] for field in (sources.x, sources.y, sources.gamma, sources.sigma))
+    else:  # the near field's one entry per pair
+        xt, yt = np.repeat(targets, 6, axis=0).T
+        xs, ys, gamma, sigma = (np.tile(field, 5) for field in (sources.x, sources.y, sources.gamma, sources.sigma))
+    scratch = kernels._pair_scratch(40)
+    u, v = kernels._pair_velocity(xt, yt, xs, ys, gamma, sigma, kind, scratch)
+    ref_u, ref_v = reference_terms(xt, yt, xs, ys, gamma, sigma, kind)
+    assert u.shape == ref_u.shape and v.shape == ref_v.shape
+    assert u.tobytes() == ref_u.tobytes() and v.tobytes() == ref_v.tobytes()
+    assert np.shares_memory(u, scratch) and np.shares_memory(v, scratch)
+    terms = [scalar_term(tx, ty, src, kind) for tx, ty in targets.tolist() for src in particle_list(sources)]
+    if broadcast:
+        terms = [terms[j * 6 + i] for i in range(6) for j in range(5)]  # (source, target) order
+    assert [tuple(pair) for pair in zip(u.ravel().tolist(), v.ravel().tolist())] == terms
+    coincident = 4 * 5 + 2 if broadcast else 2 * 6 + 4  # source 4 at target 2
+    assert u.ravel()[coincident] == 0.0 and v.ravel()[coincident] == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", [0, 1])
+def test_non_finite_target_is_named(bad, column):
+    # a NaN target used to return a finite u = 0 beside v = nan
+    targets = np.full((4, 2), 0.5)
+    targets[2, column] = bad
+    with pytest.raises(ValueError, match="target 2 is not finite"):
+        velocity_direct(targets, generate_particles("uniform_random", 10, 1), POINT)
+
+
+def test_kernel_must_be_a_kernel_kind():
+    # the string used to run the point kernel, bit for bit
+    particles = generate_particles("uniform_random", 10, 1, sigma=0.3)
+    with pytest.raises(TypeError, match="KernelKind"):
+        velocity_direct(positions_of(particles), particles, "gaussian_blob")
+
+
+@pytest.mark.parametrize("kind", [POINT, BLOB])
+def test_no_targets_give_no_rows(kind):
+    assert velocity_direct(np.zeros((0, 2)), generate_particles("uniform_random", 10, 1), kind).shape == (0, 2)
+
+
 def test_self_targets_are_finite():
     particles = generate_particles("uniform_random", 64, 5)
     vel = velocity_direct(positions_of(particles), particles, POINT)
