@@ -23,11 +23,14 @@ from .model import Particle, Particles
 
 TWO_PI = 2.0 * math.pi
 
-#: Target-source pairs per block of the direct sums (here and the engine's
-#: near field): 2^14 float64 elements keep each row of the pair scratch at
-#: 128 KiB, and the scratch (640 KiB) in a core's L2 cache.  Halving it
-#: slowed a 4096 x 4096 oracle by a quarter, through per-block Python costs.
-_BLOCK = 2**14
+#: Target-source pairs per chunk of the engine's near field: 2^13 float64
+#: elements keep each row of its pair scratch at 64 KiB.
+_BLOCK = 2**13
+#: Target-source pairs per block of the oracle :func:`velocity_direct`, whose
+#: blocks carry more Python work each (their sums go through
+#: :func:`_add_rows`).  A 4096 x 4096 oracle took 103 ms at 2^14 against
+#: 131 ms at 2^13 (one BLAS thread); the near field was flat between the two.
+_ORACLE_BLOCK = 2**14
 
 
 class KernelKind(enum.Enum):
@@ -139,8 +142,8 @@ def velocity_direct(
     kernel, one that takes numpy's exp, which can differ from ``math.exp`` in
     the last bit).  Each target's value is its own sequential sum, whatever
     other targets share the call.  The terms of a block of whole sources,
-    about ``_BLOCK`` pairs, are computed at once, in one scratch that the
-    call reuses for every block, and added to the running sums in source
+    about ``_ORACLE_BLOCK`` pairs, are computed at once, in one scratch that
+    the call reuses for every block, and added to the running sums in source
     order by :func:`_add_rows`: one sequential reduction per block, a
     ``cumsum`` at M = 1 (where numpy would sum pairwise), and row by row for
     blocks of at most four sources.  So the blocking never changes a bit.
@@ -164,7 +167,7 @@ def velocity_direct(
 
     u = np.zeros(len(pts))
     v = np.zeros(len(pts))
-    step = max(1, _BLOCK // len(pts))
+    step = max(1, _ORACLE_BLOCK // len(pts))
     scratch = _pair_scratch(min(step, len(src)) * len(pts))
     for lo in range(0, len(src), step):
         blk = slice(lo, lo + step)

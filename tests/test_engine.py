@@ -647,7 +647,7 @@ class TestNearField:
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_bitwise_targets_with_more_sources_than_a_chunk(self, kind):
-        particles = generate_particles("uniform_random", 32000, 4, sigma=0.001)
+        particles = generate_particles("uniform_random", 16000, 4, sigma=0.001)
         tree = build_tree(particles, 2, UNIT)
         z, g, s = sorted_arrays(particles, tree)
         probes = [Particle(x, y, 0.0, 1.0) for x, y in np.random.default_rng(5).random((30, 2))] + CORNERS

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import particle_list, positions_of, random_particles
 from vortexfmm import kernels
-from vortexfmm.kernels import _BLOCK, ComplexVelocity, KernelKind, kernel_eval, velocity_direct
+from vortexfmm.kernels import _BLOCK, _ORACLE_BLOCK, ComplexVelocity, KernelKind, kernel_eval, velocity_direct
 from vortexfmm.model import Particle, Particles, generate_particles, to_arrays
 
 POINT = KernelKind.POINT_VORTEX
@@ -62,23 +62,27 @@ def test_matches_scalar_double_loop_bit_for_bit():
         assert vel[i, 0] == u and vel[i, 1] == v
 
 
+def scalar_term(tx, ty, src, kind):
+    """One pair's terms.  The point kernel is kernel_eval itself; the blob
+    kernel is kernel_eval's arithmetic with numpy's exp, which the vectorised
+    kernel uses (math.exp differs from it in the last bit for a few percent of
+    arguments)."""
+    if kind is POINT:
+        return kernel_eval((tx, ty), src, POINT)
+    dx, dy = tx - src.x, ty - src.y
+    r2 = dx * dx + dy * dy
+    c = 0.0 if r2 == 0.0 else src.gamma / (TWO_PI * r2)
+    c = c * (1.0 - np.exp(-r2 / (2.0 * src.sigma * src.sigma)))
+    return -c * dy, c * dx
+
+
 def scalar_direct(targets, sources, kind):
-    """Scalar double loop, sources in ascending order.  The point kernel is
-    kernel_eval itself; the blob kernel is kernel_eval's arithmetic with
-    numpy's exp, which velocity_direct uses (math.exp differs from it in the
-    last bit for a few percent of arguments)."""
+    """Scalar double loop over ``scalar_term``, sources in ascending order."""
     out = np.zeros((len(targets), 2))
     for i, (tx, ty) in enumerate(targets.tolist()):
         u = v = 0.0
         for src in particle_list(sources):
-            if kind is POINT:
-                du, dv = kernel_eval((tx, ty), src, POINT)
-            else:
-                dx, dy = tx - src.x, ty - src.y
-                r2 = dx * dx + dy * dy
-                c = 0.0 if r2 == 0.0 else src.gamma / (TWO_PI * r2)
-                c = c * (1.0 - np.exp(-r2 / (2.0 * src.sigma * src.sigma)))
-                du, dv = -c * dy, c * dx
+            du, dv = scalar_term(tx, ty, src, kind)
             u += du
             v += dv
         out[i] = u, v
@@ -92,24 +96,20 @@ def oracle_input(m, n):
     return targets, sources
 
 
-# (targets, sources): one target over a partial second block; two targets over
-# a second block of three rows; a few targets over several blocks, the last
-# partial (of one row at 200 targets); the last sizes with two sources per
-# block and the first with one; more targets than a block holds
+def block_shapes(b):
+    """(targets, sources) around a block of ``b`` pairs: one target over a
+    partial second block; two targets over a second block of three rows; a
+    few targets over several blocks, the last partial (of one row at 200
+    targets); the last sizes with two sources per block and the first with
+    one; more targets than a block holds."""
+    return [(1, b + 5), (2, b // 2 + 3), (7, 2 * (b // 7) + 5), (200, 3 * (b // 200) + 1),
+            (b // 2, 5), (b // 2 + 1, 3), (b + 1, 2)]
+
+
+# the oracle's own block, and the near field's, by which the oracle blocked
+# before it had its own constant
 @pytest.mark.parametrize("kind", [POINT, BLOB])
-@pytest.mark.parametrize(
-    "m, n",
-    [
-        (1, _BLOCK + 5),
-        (2, _BLOCK // 2 + 3),
-        (7, 2 * (_BLOCK // 7) + 5),
-        (37, 500),
-        (200, 3 * (_BLOCK // 200) + 1),
-        (_BLOCK // 2, 5),
-        (_BLOCK // 2 + 1, 3),
-        (_BLOCK + 1, 2),
-    ],
-)
+@pytest.mark.parametrize("m, n", block_shapes(_ORACLE_BLOCK) + block_shapes(_BLOCK) + [(37, 500)])
 def test_blocked_oracle_matches_scalar_double_loop_bit_for_bit(kind, m, n):
     targets, sources = oracle_input(m, n)
     assert np.array_equal(velocity_direct(targets, sources, kind), scalar_direct(targets, sources, kind))
@@ -138,17 +138,6 @@ def reference_terms(xt, yt, xs, ys, gamma, sigma, kind):
     np.divide(gamma, TWO_PI * r2, out=c, where=r2 > 0.0)
     if kind is BLOB:
         c = c * (1.0 - np.exp(-r2 / (2.0 * sigma * sigma)))
-    return -c * dy, c * dx
-
-
-def scalar_term(tx, ty, src, kind):
-    """kernel_eval for the point kernel; its arithmetic with numpy's exp for the blob."""
-    if kind is POINT:
-        return kernel_eval((tx, ty), src, POINT)
-    dx, dy = tx - src.x, ty - src.y
-    r2 = dx * dx + dy * dy
-    c = 0.0 if r2 == 0.0 else src.gamma / (TWO_PI * r2)
-    c = c * (1.0 - np.exp(-r2 / (2.0 * src.sigma * src.sigma)))
     return -c * dy, c * dx
 
 
