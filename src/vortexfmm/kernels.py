@@ -29,7 +29,7 @@ _BLOCK = 2**13
 #: Target-source pairs per block of the oracle :func:`velocity_direct`, whose
 #: blocks carry more Python work each (their sums go through
 #: :func:`_add_rows`).  A 4096 x 4096 oracle took 103 ms at 2^14 against
-#: 131 ms at 2^13 (one BLAS thread); the near field was flat between the two.
+#: 131 ms at 2^13 (one BLAS thread); the near field moved less than 10%.
 _ORACLE_BLOCK = 2**14
 
 
