@@ -29,7 +29,9 @@ machine hits both alike, and the file holds them side by side with the
 base/head ratio of every median.  ``--perfbench`` also runs each checkout's
 ``perfbench/run.py`` (untraced, for BENCHMARK.json's ``run_seconds``) on both
 benchmark workloads for every seed in ``PERFBENCH_SEEDS``, alternating
-likewise, and keeps the result lines.
+likewise, and keeps the result lines; with ``--base`` it also summarises
+them: per workload and end-to-end metric, each side's median and quartiles
+and the number of pairs the head wins.
 """
 
 from __future__ import annotations
@@ -218,6 +220,24 @@ def _medians(runs: list[dict]) -> dict:
     }
 
 
+def _perfbench_summary(lines: dict[str, list], metrics: list[dict]) -> dict:
+    """Per workload and end-to-end metric: each side's quartiles over its runs and the number of
+    pairs (same seed) in which the head reads better; per workload, each side's failed operations."""
+    summary: dict = {}
+    for workload in WORKLOADS:
+        runs = {side: [run for run in lines[side] if run["workload"] == workload] for side in lines}
+        entry: dict = {"pairs": len(runs["head"]), "failed": {side: sum(run["failed"] for run in rs) for side, rs in runs.items()}}
+        for metric in metrics:
+            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            values = {side: [run["metrics"][name]["value"] for run in rs] for side, rs in runs.items()}
+            entry[name] = {
+                **{side: dict(zip(("q1", "median", "q3"), statistics.quantiles(v, n=4))) for side, v in values.items()},
+                "head_better_pairs": sum(sign * (h - b) > 0 for h, b in zip(values["head"], values["base"], strict=True)),
+            }
+        summary[workload] = entry
+    return summary
+
+
 def _commit(checkout: Path) -> str | None:
     done = subprocess.run(
         ["git", "-C", str(checkout), "describe", "--always", "--dirty"], capture_output=True, text=True
@@ -287,13 +307,16 @@ def main() -> int:
             for key in head
         }
     if args.perfbench:
-        seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        seconds = spec["run_seconds"]
         lines: dict[str, list] = {side: [] for side in sides}
         for i, (seed, workload) in enumerate((s, w) for s in PERFBENCH_SEEDS for w in WORKLOADS):
             for side in order if i % 2 == 0 else order[::-1]:
                 lines[side].append(_perfbench(sides[side], workload, seed, seconds))
                 print(f"perfbench {workload} seed {seed} {side} done", file=sys.stderr, flush=True)
         report["perfbench"] = {"seconds": seconds, **lines}
+        if "base" in sides:
+            report["perfbench_summary"] = _perfbench_summary(lines, spec["end_to_end"])
 
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")

@@ -4,7 +4,8 @@ The sweep harness is the desk-scale study driver: it executes every tuple of
 a parameter grid against the direct oracle, appending one CSV row per run as
 it goes (crash-resumable), with metric columns that are a pure function of
 the config file.  Oracle cost is controllable: ``sampled(k)`` evaluates the
-O(N^2) reference on k seeded targets instead of all N.
+O(N^2) reference on k targets, seeded by (N, seed) and shared by every run of
+that pair, instead of all N.
 
 Config files are flat ``key = value`` lines; list values are comma-separated;
 ``#`` starts a comment.  Keys: n, levels, p, seeds, distribution, kernel,
@@ -117,6 +118,7 @@ class SweepConfig:
             "sigma": self.sigma,
             "map_grid": self.map_grid,
             "oracle": "always" if self.oracle_k is None else f"sampled({self.oracle_k})",
+            "oracle_sample": "per (n, seed)",
             "generator_id": GENERATOR_ID,
         }
 
@@ -176,25 +178,33 @@ def parse_sweep_config(path) -> SweepConfig:
     )
 
 
+def _oracle_sample(n: int, seed: int, oracle_k: int | None) -> np.ndarray:
+    """The sorted target indices the oracle scores for every run of (n, seed):
+    ``oracle_k`` of them drawn from ``[seed, n, 0x0F5EED]`` when that is fewer
+    than n, otherwise all n."""
+    if oracle_k is None or oracle_k >= n:
+        return np.arange(n)
+    return np.sort(np.random.default_rng([seed, n, 0x0F5EED]).choice(n, size=oracle_k, replace=False))
+
+
 class _ParticleSet:
     """One particle set on one domain and kernel, and what its runs share.
 
-    A sweep keeps one for each (n, seed).  Its runs share the oracle: each
-    target's direct velocity is computed once, as its own sequential sum over
-    the sources, and keeps its share of the time of the call that computed
-    it (call time over the targets in the call), so a run's oracle time is
-    the sum of the shares of its sample.  The runs of one depth share the
-    order-independent work, ``engine._tree_work``, and the bound budgets'
-    amplitudes, ``engine._budget_gather``, both recomputed when the depth
-    changes.  Either is exact: results are bit for bit a standalone run's.
+    A sweep keeps one for each (n, seed).  Its runs score the same oracle
+    sample: the set makes the one ``velocity_direct`` call on those targets
+    and keeps its values and its time, which every run reports as its oracle
+    cost.  The runs of one depth share the order-independent work,
+    ``engine._tree_work``, and the bound budgets' amplitudes,
+    ``engine._budget_gather``, both recomputed when the depth changes.
+    Either is exact: results are bit for bit a standalone run's.
     """
 
-    def __init__(self, particles: Particles, domain: Domain, kind: KernelKind):
-        self.particles, self.domain, self.kind = particles, domain, kind
-        self.positions = np.stack((particles.x, particles.y), axis=1)
-        self.direct = np.empty((len(particles), 2))
-        self.cost_ms = np.zeros(len(particles))
-        self.known = np.zeros(len(particles), dtype=bool)
+    def __init__(self, particles: Particles, domain: Domain, kind: KernelKind, sample: np.ndarray):
+        self.particles, self.domain, self.kind, self.sample = particles, domain, kind, sample
+        self.targets = np.stack((particles.x, particles.y), axis=1)[sample]
+        t0 = time.perf_counter()
+        self.direct = velocity_direct(self.targets, particles, kind)
+        self.t_direct_ms = (time.perf_counter() - t0) * 1e3
         self.work = self.gathered = None
 
     def at_depth(self, levels: int) -> tuple[engine._TreeWork, np.ndarray]:
@@ -263,40 +273,23 @@ def run_case(
 ) -> CaseResult:
     """Generate (or take) particles, run the fast evaluation and the oracle, compare.
 
-    The oracle runs on ``oracle_k`` seeded targets when that is fewer than n,
-    otherwise on all of them.  ``_set``, kept by a sweep for the particles of
-    (n, seed), supplies them, the oracle values and the depth's work it
-    already holds; a run without one makes its own.
+    The oracle scores ``_oracle_sample(n, seed, oracle_k)``: ``oracle_k``
+    targets drawn from (n, seed) alone when that is fewer than n, otherwise
+    all of them.  ``_set``, kept by a sweep for the particles of (n, seed),
+    supplies them, that sample's direct values and the depth's work it already
+    holds; a run without one makes its own.
     """
     kind = _KERNEL_TOKENS[kernel]
+    FmmConfig(levels=levels, order=p, kernel=kind).validate()
     if _set is None:
         if particles is None:
             particles = generate_particles(distribution, n, seed, domain, sigma)
-        _set = _ParticleSet(particles, domain, kind)
-    FmmConfig(levels=levels, order=p, kernel=kind).validate()
+        _set = _ParticleSet(particles, domain, kind, _oracle_sample(n, seed, oracle_k))
     work, gathered = _set.at_depth(levels)
     velocities, stats = engine._order_run(work, p)
-    particles, positions = _set.particles, _set.positions
-    budgets = bound_budgets(work.tree, particles.gamma, p, _gathered=gathered)
-
-    if oracle_k is not None and oracle_k < n:
-        rng = np.random.default_rng([seed, n, levels, p, 0x0F5EED])
-        sample = np.sort(rng.choice(n, size=oracle_k, replace=False))
-        sampled = oracle_k
-    else:
-        sample = np.arange(n)
-        sampled = 0
-
-    missing = sample[~_set.known[sample]]
-    if len(missing):
-        t0 = time.perf_counter()
-        _set.direct[missing] = velocity_direct(positions[missing], particles, kind)
-        _set.cost_ms[missing] = (time.perf_counter() - t0) * 1e3 / len(missing)
-        _set.known[missing] = True
-    direct = _set.direct[sample]
-    t_direct_ms = float(_set.cost_ms[sample].sum())
-
-    report = errorlab.compare(velocities[sample], direct, positions[sample], budgets[sample])
+    budgets = bound_budgets(work.tree, _set.particles.gamma, p, _gathered=gathered)
+    sample = _set.sample
+    report = errorlab.compare(velocities[sample], _set.direct, _set.targets, budgets[sample])
     violations = len(errorlab.bound_check(report))
     return CaseResult(
         n=n,
@@ -307,13 +300,13 @@ def run_case(
         kernel=kernel,
         report=report,
         violations=violations,
-        sampled=sampled,
+        sampled=len(sample) if len(sample) < n else 0,
         t_fmm_ms=stats.t_total * 1e3,
-        t_direct_ms=t_direct_ms,
+        t_direct_ms=_set.t_direct_ms,
         m2l_count=stats.m2l_count,
         near_pair_count=stats.near_pair_count,
         velocities=velocities,
-        direct=direct,
+        direct=_set.direct,
     )
 
 
@@ -472,12 +465,14 @@ def run_sweep(
     computed rows.
 
     Tuples run in n, l, p, seed order.  Each (n, seed)'s particles are
-    generated once into a ``_ParticleSet``, and its rows share their oracle
-    sums and, per depth l, the order-independent work: the first row of each
-    (n, l, seed) computes it and its other orders reuse it.  A row's
-    ``t_fmm_ms`` still reads as a standalone run's cost, the recorded build
-    and near-field time included.  The sets are dropped when n changes.
-    ``progress`` receives one line per computed row.
+    generated once into a ``_ParticleSet``, with one oracle call on its one
+    sample; its rows score that sample and share, per depth l, the
+    order-independent work: the first row of each (n, l, seed) computes it
+    and its other orders reuse it.  Every row reports the one oracle call's
+    time as ``t_direct_ms``, and its ``t_fmm_ms`` still reads as a standalone
+    run's cost, the recorded build and near-field time included.  The sets
+    are dropped when n changes.  ``progress`` receives one line per computed
+    row.
     """
     out = Path(out_path) if out_path is not None else Path(config.out)
     meta_file = _meta_path(out)
@@ -517,7 +512,8 @@ def run_sweep(
                 sets_n, sets = n, {}
             if seed not in sets:
                 particles = generate_particles(config.distribution, n, seed, UNIT_DOMAIN, config.sigma)
-                sets[seed] = _ParticleSet(particles, UNIT_DOMAIN, _KERNEL_TOKENS[config.kernel])
+                sample = _oracle_sample(n, seed, config.oracle_k)
+                sets[seed] = _ParticleSet(particles, UNIT_DOMAIN, _KERNEL_TOKENS[config.kernel], sample)
             case = run_case(
                 n,
                 lev,
@@ -587,7 +583,9 @@ def timing_study(
     unit domain, point-vortex kernel.
 
     ``levels`` fixes the depth; otherwise it follows the occupancy policy.
-    Direct timing is measured up to ``direct_cutoff`` particles and
+    One untimed evaluation per n comes first: it builds the depth's
+    translation and stencil caches, which a process pays for once.  Direct
+    timing is measured up to ``direct_cutoff`` particles and
     extrapolated beyond it as O(N^2) from the largest measured point,
     t = t_max * (n / n_max)^2, which stays positive (flagged per row).  Runs
     strictly sequentially.
@@ -604,6 +602,7 @@ def timing_study(
         lev = levels if levels is not None else occupancy_levels(n, target_per_leaf)
         particles = generate_particles("uniform_random", n, seed)
         config = FmmConfig(levels=lev, order=p)
+        evaluate(particles, config, UNIT_DOMAIN)
         t_fmm = statistics.median(
             evaluate(particles, config, UNIT_DOMAIN)[1].t_total for _ in range(repeats)
         )

@@ -301,7 +301,7 @@ def metric_cells(lines):
 
 
 class TestSweepOracleMemo:
-    """Rows of one (n, seed) share its particles and the direct sums of the targets they sample."""
+    """Rows of one (n, seed) share its particles, one oracle sample and that sample's one direct call."""
 
     @staticmethod
     def config(oracle_k):
@@ -311,34 +311,48 @@ class TestSweepOracleMemo:
     def test_rows_match_independent_runs_and_each_target_is_summed_once(self, tmp_path, monkeypatch, oracle_k):
         config = self.config(oracle_k)
         cases = [run_case(n, lev, p, seed, oracle_k=oracle_k) for n, lev, p, seed in config.tuples()]
-        distinct: dict[tuple[int, int], set] = {}
-        for case in cases:
-            distinct.setdefault((case.n, case.seed), set()).update(map(tuple, case.report.positions.tolist()))
-
-        targets_per_call = []
+        calls, generated, swept = [], [], []
 
         def counted(targets, sources, kind):
-            targets_per_call.append(len(targets))
+            calls.append((len(sources), len(targets)))
             return velocity_direct(targets, sources, kind)
-
-        generated = []
 
         def generating(distribution, n, seed, *args):
             generated.append((n, seed))
             return generate_particles(distribution, n, seed, *args)
 
+        def recording(*args, **kwargs):
+            swept.append(run_case(*args, **kwargs))
+            return swept[-1]
+
         monkeypatch.setattr(harness, "velocity_direct", counted)
         monkeypatch.setattr(harness, "generate_particles", generating)
+        monkeypatch.setattr(harness, "run_case", recording)
         out, computed = run_sweep(config, tmp_path / "rows.csv")
         rows = out.read_text().splitlines()[1:]
         assert computed == config.run_count
         assert generated == [(100, 1), (100, 2), (160, 1), (160, 2)]
+        assert calls == [(n, oracle_k or n) for n, _ in generated]
         assert metric_cells(rows) == metric_cells(case.csv_row() for case in cases)
-        assert all(float(cells[12]) > 0 for cells in (row.split(",") for row in rows))
-        assert len(targets_per_call) <= config.run_count
-        assert sum(targets_per_call) == sum(map(len, distinct.values()))
-        if oracle_k is None:
-            assert targets_per_call == [100, 100, 160, 160]
+        # every row of one (n, seed) scores its one sample and reports its one call's time
+        first = {}
+        for standalone, case, cells in zip(cases, swept, (row.split(",") for row in rows), strict=True):
+            positions, t_direct = first.setdefault((case.n, case.seed), (case.report.positions, cells[12]))
+            assert len(positions) == (oracle_k or case.n)
+            assert case.report.positions.tobytes() == standalone.report.positions.tobytes() == positions.tobytes()
+            assert cells[12] == t_direct and float(t_direct) > 0
+
+    def test_resume_refuses_a_sweep_written_under_per_row_samples(self, tmp_path):
+        config = self.config(30)
+        out, _ = run_sweep(config, tmp_path / "rows.csv")
+        meta = out.with_name(out.name + ".meta.json")
+        recorded = json.loads(meta.read_text())
+        assert recorded.pop("oracle_sample") == "per (n, seed)"
+        meta.write_text(json.dumps(recorded))
+        written = out.read_bytes()
+        with pytest.raises(ConfigError, match="does not match"):
+            run_sweep(config, out, resume=True)
+        assert out.read_bytes() == written
 
     def test_resume_inside_an_n_seed_group(self, tmp_path):
         config = self.config(30)
@@ -527,6 +541,21 @@ class TestTiming:
         assert cli.main(["timing", *args, "--out", str(tmp_path / "t.csv")]) == 2
         assert named in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_one_untimed_evaluation_per_n_before_the_timed_repeats(self, monkeypatch):
+        totals = collections.defaultdict(list)
+        evaluate = harness.evaluate
+
+        def recorded(particles, config, domain):
+            result = evaluate(particles, config, domain)
+            totals[len(particles)].append(result[1].t_total)
+            return result
+
+        monkeypatch.setattr(harness, "evaluate", recorded)
+        rows = timing_study([64, 128], p=3, levels=2, repeats=3, direct_cutoff=128)
+        assert {n: len(t) for n, t in totals.items()} == {64: 4, 128: 4}
+        for row in rows:
+            assert row.t_fmm_ms == sorted(totals[row.n][1:])[1] * 1e3
 
     def test_occupancy_policy(self):
         assert occupancy_levels(256, 8) == 3
