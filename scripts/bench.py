@@ -226,13 +226,15 @@ def _perfbench_summary(lines: dict[str, list], metrics: list[dict]) -> dict:
     summary: dict = {}
     for workload in WORKLOADS:
         runs = {side: [run for run in lines[side] if run["workload"] == workload] for side in lines}
-        entry: dict = {"pairs": len(runs["head"]), "failed": {side: sum(run["failed"] for run in rs) for side, rs in runs.items()}}
+        entry: dict = {"pairs": len(runs["head"]),
+                       "failed": {side: sum(run["failed"] for run in rs) for side, rs in runs.items()}}
         for metric in metrics:
             name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
             values = {side: [run["metrics"][name]["value"] for run in rs] for side, rs in runs.items()}
+            pairs = zip(values["head"], values["base"], strict=True)
             entry[name] = {
                 **{side: dict(zip(("q1", "median", "q3"), statistics.quantiles(v, n=4))) for side, v in values.items()},
-                "head_better_pairs": sum(sign * (h - b) > 0 for h, b in zip(values["head"], values["base"], strict=True)),
+                "head_better_pairs": sum(sign * (head - base) > 0 for head, base in pairs),
             }
         summary[workload] = entry
     return summary

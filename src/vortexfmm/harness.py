@@ -178,20 +178,13 @@ def parse_sweep_config(path) -> SweepConfig:
     )
 
 
-def _oracle_sample(n: int, seed: int, oracle_k: int | None) -> np.ndarray:
-    """The sorted target indices the oracle scores for every run of (n, seed):
-    ``oracle_k`` of them drawn from ``[seed, n, 0x0F5EED]`` when that is fewer
-    than n, otherwise all n."""
-    if oracle_k is None or oracle_k >= n:
-        return np.arange(n)
-    return np.sort(np.random.default_rng([seed, n, 0x0F5EED]).choice(n, size=oracle_k, replace=False))
-
-
 class _ParticleSet:
     """One particle set on one domain and kernel, and what its runs share.
 
     A sweep keeps one for each (n, seed).  Its runs score the same oracle
-    sample: the set makes the one ``velocity_direct`` call on those targets
+    sample: ``oracle_k`` targets drawn from ``[seed, n, 0x0F5EED]`` when that
+    is fewer than n (``sampled`` is then ``oracle_k``), otherwise all n
+    (``sampled`` 0).  The set makes the one ``velocity_direct`` call on them
     and keeps its values and its time, which every run reports as its oracle
     cost.  The runs of one depth share the order-independent work,
     ``engine._tree_work``, and the bound budgets' amplitudes,
@@ -199,9 +192,15 @@ class _ParticleSet:
     Either is exact: results are bit for bit a standalone run's.
     """
 
-    def __init__(self, particles: Particles, domain: Domain, kind: KernelKind, sample: np.ndarray):
-        self.particles, self.domain, self.kind, self.sample = particles, domain, kind, sample
-        self.targets = np.stack((particles.x, particles.y), axis=1)[sample]
+    def __init__(self, particles: Particles, domain: Domain, kind: KernelKind, seed: int, oracle_k: int | None):
+        self.particles, self.domain, self.kind = particles, domain, kind
+        n = len(particles)
+        if oracle_k is not None and oracle_k < n:
+            rng = np.random.default_rng([seed, n, 0x0F5EED])
+            self.sample, self.sampled = np.sort(rng.choice(n, size=oracle_k, replace=False)), oracle_k
+        else:
+            self.sample, self.sampled = np.arange(n), 0
+        self.targets = np.stack((particles.x, particles.y), axis=1)[self.sample]
         t0 = time.perf_counter()
         self.direct = velocity_direct(self.targets, particles, kind)
         self.t_direct_ms = (time.perf_counter() - t0) * 1e3
@@ -273,18 +272,18 @@ def run_case(
 ) -> CaseResult:
     """Generate (or take) particles, run the fast evaluation and the oracle, compare.
 
-    The oracle scores ``_oracle_sample(n, seed, oracle_k)``: ``oracle_k``
-    targets drawn from (n, seed) alone when that is fewer than n, otherwise
-    all of them.  ``_set``, kept by a sweep for the particles of (n, seed),
-    supplies them, that sample's direct values and the depth's work it already
-    holds; a run without one makes its own.
+    The oracle scores ``oracle_k`` targets drawn from (n, seed) alone when
+    that is fewer than n, otherwise all of them.  ``_set``, kept by a sweep
+    for the particles of (n, seed), supplies them, that sample's direct
+    values and the depth's work it already holds; a run without one makes
+    its own.
     """
     kind = _KERNEL_TOKENS[kernel]
     FmmConfig(levels=levels, order=p, kernel=kind).validate()
     if _set is None:
         if particles is None:
             particles = generate_particles(distribution, n, seed, domain, sigma)
-        _set = _ParticleSet(particles, domain, kind, _oracle_sample(n, seed, oracle_k))
+        _set = _ParticleSet(particles, domain, kind, seed, oracle_k)
     work, gathered = _set.at_depth(levels)
     velocities, stats = engine._order_run(work, p)
     budgets = bound_budgets(work.tree, _set.particles.gamma, p, _gathered=gathered)
@@ -300,7 +299,7 @@ def run_case(
         kernel=kernel,
         report=report,
         violations=violations,
-        sampled=len(sample) if len(sample) < n else 0,
+        sampled=_set.sampled,
         t_fmm_ms=stats.t_total * 1e3,
         t_direct_ms=_set.t_direct_ms,
         m2l_count=stats.m2l_count,
@@ -512,8 +511,7 @@ def run_sweep(
                 sets_n, sets = n, {}
             if seed not in sets:
                 particles = generate_particles(config.distribution, n, seed, UNIT_DOMAIN, config.sigma)
-                sample = _oracle_sample(n, seed, config.oracle_k)
-                sets[seed] = _ParticleSet(particles, UNIT_DOMAIN, _KERNEL_TOKENS[config.kernel], sample)
+                sets[seed] = _ParticleSet(particles, UNIT_DOMAIN, _KERNEL_TOKENS[config.kernel], seed, config.oracle_k)
             case = run_case(
                 n,
                 lev,
