@@ -6,9 +6,13 @@
 For N = 4096, 16384, 65536 and 131072 uniform particles, at the occupancy
 depth (8 particles per leaf), order 8 and both kernels, it times every
 ``FmmRunStats`` phase plus ``velocity_direct`` of 512 targets against the same
-N sources.  It times every phase of ``evaluate_at`` at the shape of
-perfbench's field_probe (``FIELD_PROBE``: 4096 sources, depth 6, order 40, a
-128 x 128 grid of cell-centred targets), and that workload's set-up oracle
+N sources.  The rows ``DENSE`` (keys ``<kernel>/<N>_d<depth>``) do the same
+at 64 particles per leaf, 4096 at depth 3 and 16384 at depth 4, where the
+near field computes every leaf as one targets x sources block; at 8 per
+leaf no leaf has enough pairs for that.  It times every phase of
+``evaluate_at`` at the shape of perfbench's field_probe (``FIELD_PROBE``:
+4096 sources, depth 6, order 40, a 128 x 128 grid of cell-centred
+targets), and that workload's set-up oracle
 as ``t_oracle``: ``velocity_direct`` of 4096 of the grid targets (every
 fourth) against the 4096 sources.  It also times ``run_sweep`` over
 the ``study.cfg`` slice of seed ``SEED`` (90 runs): its wall time and runs/s,
@@ -49,6 +53,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LADDER = (4096, 16384, 65536, 131072)
 TARGET_PER_LEAF = 8
+#: (N, depth) at 64 particles per leaf
+DENSE = ((4096, 3), (16384, 4))
 ORDER = 8
 DIRECT_TARGETS = 512
 #: below the sigma guard (leaf half-width / 2) at every depth of the ladder
@@ -75,9 +81,10 @@ def measure_once() -> dict:
     warm = model.generate_particles("uniform_random", 1024, SEED, sigma=SIGMA)
     engine.evaluate(warm, engine.FmmConfig(3, ORDER), model.UNIT_DOMAIN)
     out: dict = {}
-    for n in LADDER:
+    rows = [(n, harness.occupancy_levels(n, TARGET_PER_LEAF), f"{n}") for n in LADDER]
+    rows += [(n, levels, f"{n}_d{levels}") for n, levels in DENSE]
+    for n, levels, label in rows:
         particles = model.generate_particles("uniform_random", n, SEED, sigma=SIGMA)
-        levels = harness.occupancy_levels(n, TARGET_PER_LEAF)
         x, y, _, _ = model.to_arrays(particles)
         targets = np.stack((x[:DIRECT_TARGETS], y[:DIRECT_TARGETS]), axis=1)
         for name in KERNELS:
@@ -90,7 +97,7 @@ def measure_once() -> dict:
                 kernels.velocity_direct(targets, particles, kind)
                 row["t_velocity_direct"] = time.perf_counter() - t0
                 calls.append(row)
-            out[f"{name}/{n}"] = {**{key: min(row[key] for row in calls) for key in calls[0]}, "levels": levels}
+            out[f"{name}/{label}"] = {**{key: min(row[key] for row in calls) for key in calls[0]}, "levels": levels}
     out[f"field_probe/{FIELD_PROBE['n']}"] = measure_field_probe()
     out[f"study.cfg/seed{SEED}"] = measure_sweep()
     return out
@@ -291,6 +298,7 @@ def main() -> int:
             "distribution": "uniform_random",
             "seed": SEED,
             "target_per_leaf": TARGET_PER_LEAF,
+            "dense": DENSE,
             "order": ORDER,
             "sigma": SIGMA,
             "direct_targets": DIRECT_TARGETS,

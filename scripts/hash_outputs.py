@@ -9,8 +9,10 @@ taken from this checkout (``study.cfg`` included), and only the public API
 and ``run_sweep`` are called, so two checkouts can be compared by diffing
 their output.  Each line is a name and the first 16 hex digits of a SHA-256:
 
-- ``evaluate`` at four shapes: the velocities and, together, ``m2l_count``,
-  ``near_pair_count`` and ``sigma_guard_ok``;
+- ``evaluate`` at five shapes: the velocities and, together, ``m2l_count``,
+  ``near_pair_count`` and ``sigma_guard_ok``; at 4096 particles and depth 3
+  (64 per leaf) every near-field leaf is dense enough to be computed as one
+  targets x sources block;
 - ``evaluate_at`` on perfbench's field_probe grid (4096 sources, depth 6,
   order 40, 128 x 128 cell-centred targets);
 - the direct oracle ``velocity_direct`` at four shapes (``ORACLES``):
@@ -42,6 +44,7 @@ EVALUATIONS = {
     "evaluate/500_d3_p60_point": (500, 3, 60, "point_vortex", 0.005, (0.0, 0.0, 1.0)),
     # cores above the sigma guard, so the flag reads False
     "evaluate/700_d5_p17_blob_offset_domain": (700, 5, 17, "gaussian_blob", 0.05, (-2.0, -1.0, 3.0)),
+    "evaluate/4096_d3_p10_blob": (4096, 3, 10, "gaussian_blob", 0.005, (0.0, 0.0, 1.0)),
 }
 #: name -> (targets, sources, kernel, sigma); targets "grid" is every fourth
 #: point of the field_probe grid, "self" the sources' own positions, an int

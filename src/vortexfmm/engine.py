@@ -12,10 +12,14 @@ Passes, in order:
    leaf's own and adjacent cells.  The regularized kernel acts only here; the
    far field always sees point vortices, which is why particle cores must
    stay small next to the leaf size (warned about at sigma > half_width / 2).
-   The direct sum runs without a per-leaf loop: the pairs of many targets are
-   computed in chunks of bounded size, each target's sources in the canonical
-   order and reduced on their own, so the velocities are bit for bit those of
-   a per-target sum.
+   The direct sum reads each target's sources in one canonical order and
+   reduces every target's terms on their own, in blocks of bounded size.  A
+   dense leaf, whose targets alone have a chunk's worth of pairs (q targets x
+   n sources >= ``kernels._BLOCK``), is one block of its targets broadcast
+   against its n sources, read once; the pairs of all other leaves are laid
+   end to end in chunks, without a per-leaf loop.  Both paths compute the
+   same terms and sum each target's row alike, so the velocities are bit for
+   bit those of a per-target sum.
 
 The pipeline runs in two stages, split where the order enters.
 ``_tree_work`` does what depends only on the particles, targets and depth:
@@ -264,7 +268,7 @@ def translate_pass(tree: Tree, multipoles: list, order: int) -> tuple[list, int]
 
 def _translate_chunk(mult: np.ndarray, ids: np.ndarray, stacked: np.ndarray, loc: np.ndarray, dest: np.ndarray):
     """Assign ``loc[dest]`` the M2L product of the sources ``ids`` (rows of a stencil)."""
-    loc[dest] = mult[ids].reshape(len(ids), -1) @ stacked
+    loc[dest] = np.take(mult, ids, axis=0).reshape(len(ids), -1) @ stacked
 
 
 _pool: ThreadPoolExecutor | None = None
@@ -374,14 +378,22 @@ def near_field(
     Every target sums its sources in one canonical order: neighbourhood rows
     y-1, y, y+1, ascending sorted index within a row.  Adjacent cells of one
     row are consecutive in the row-major leaf order, so each row is one slice
-    of the sorted particles.  Targets are taken in ascending order of their
-    source count n, and their pairs are laid end to end in chunks of about
-    ``_BLOCK`` pairs (more only when one target alone has more), so no
-    temporary grows with N.  Every chunk's terms are computed in one pair
-    scratch, sized to the largest chunk.  Each run of targets with equal n in
-    a chunk is a C-contiguous (targets x n) array, reduced with
-    ``.sum(axis=1)``, which sums every row on its own.  The result is therefore bit for bit that of
-    summing every target's sources separately, whatever the chunking.
+    of the sorted particles, and a leaf's targets share its n sources.
+
+    A dense leaf, whose q targets alone have q n >= ``_BLOCK`` pairs, is
+    computed on its own: its n sources are read once from their three row
+    slices into one small stacked block, and its targets, taken
+    ``max(1, _BLOCK // n)`` at a time, are broadcast against it as a
+    (rows x n) block of pairs.  The targets of every other leaf are taken in
+    ascending order of their source count n, and their pairs are laid end to
+    end, by index, in chunks of about ``_BLOCK`` pairs (more only when one
+    target alone has more).  Either way no temporary grows with N, and every
+    block's terms are computed in one pair scratch, sized to the largest
+    block.  The terms of each run of targets with equal n are a C-contiguous
+    (targets x n) array, reduced with ``.sum(axis=1)``, which sums every row
+    on its own, and the terms are the same operations on the same operands
+    in both paths.  The result is therefore bit for bit that of summing every
+    target's sources separately, whatever the path and the blocking.
     """
     if targets is None:
         targets, zt_sorted = tree, z_sorted
@@ -396,10 +408,13 @@ def near_field(
     lengths = np.where((ny >= 0) & (ny < m), ends - starts, 0)
     sizes = lengths.sum(axis=1)
     pairs = int(per_leaf @ sizes) - (len(z_sorted) if targets is tree else 0)
+    dense = per_leaf * sizes >= _BLOCK
 
-    # every target, leaf by leaf in ascending source count: its leaf, its
-    # sorted index, its source count n and the span of its pairs
-    by_size = np.argsort(sizes, kind="stable")
+    # every target of the other leaves, leaf by leaf in ascending source
+    # count: its leaf, its sorted index, its source count n and the span of
+    # its pairs
+    sparse = np.flatnonzero(~dense)
+    by_size = sparse[np.argsort(sizes[sparse], kind="stable")]
     q = per_leaf[by_size]
     leaf = np.repeat(by_size, q)
     target = np.arange(len(leaf)) + np.repeat(targets.leaf_starts[leaves[by_size]] - (np.cumsum(q) - q), q)
@@ -412,7 +427,25 @@ def near_field(
 
     xs_all, ys_all, xt_all, yt_all = z_sorted.real, z_sorted.imag, zt_sorted.real, zt_sorted.imag
     blob = kind is KernelKind.GAUSSIAN_BLOB
-    scratch = _pair_scratch(int(np.max(end[chunks[1:] - 1] - first[chunks[:-1]], initial=0)))
+    # a dense leaf's blocks hold at most max(_BLOCK, n) pairs
+    scratch = _pair_scratch(int(max(np.max(end[chunks[1:] - 1] - first[chunks[:-1]], initial=0),
+                                    np.max(np.maximum(sizes[dense], _BLOCK), initial=0))))
+    vel = np.zeros((len(zt_sorted), 2))
+    fields = (xs_all, ys_all, gamma_sorted, sigma_sorted) if blob else (xs_all, ys_all, gamma_sorted)
+    for j in np.flatnonzero(dense).tolist():
+        size = int(sizes[j])
+        spans = [(s, s + w) for s, w in zip(starts[j].tolist(), lengths[j].tolist())]
+        block = np.concatenate([f[s:e] for f in fields for s, e in spans]).reshape(len(fields), size)
+        rows = max(1, _BLOCK // size)
+        lo = int(targets.leaf_starts[leaves[j]])
+        hi = lo + int(per_leaf[j])
+        for a in range(lo, hi, rows):
+            b = min(a + rows, hi)
+            du, dv = _pair_velocity(xt_all[a:b, None], yt_all[a:b, None], *block[:3], block[3] if blob else None,
+                                    kind, scratch)
+            vel[a:b, 0] = du.sum(axis=1)
+            vel[a:b, 1] = dv.sum(axis=1)
+
     u = np.empty(len(leaf))
     v = np.empty(len(leaf))
     for i in range(len(chunks) - 1):
@@ -431,7 +464,6 @@ def near_field(
             lo, hi = first[r0] - first[a], end[r1 - 1] - first[a]
             u[r0:r1] = du[lo:hi].reshape(r1 - r0, n[r0]).sum(axis=1)
             v[r0:r1] = dv[lo:hi].reshape(r1 - r0, n[r0]).sum(axis=1)
-    vel = np.zeros((len(zt_sorted), 2))
     vel[target, 0] = u
     vel[target, 1] = v
     return vel, pairs

@@ -24,7 +24,10 @@ from .model import Particle, Particles
 TWO_PI = 2.0 * math.pi
 
 #: Target-source pairs per chunk of the engine's near field: 2^13 float64
-#: elements keep each row of its pair scratch at 64 KiB.
+#: elements keep each row of its pair scratch at 64 KiB.  A leaf whose q
+#: targets and n sources make q n >= _BLOCK pairs is computed on its own, in
+#: blocks of max(1, _BLOCK // n) targets x n sources; the other leaves'
+#: pairs share chunks.
 _BLOCK = 2**13
 #: Target-source pairs per block of the oracle :func:`velocity_direct`, whose
 #: blocks carry more Python work each (their sums go through

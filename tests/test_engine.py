@@ -645,6 +645,28 @@ class TestNearField:
         assert np.array_equal(vel, expected)
         assert pairs == expected_pairs
 
+    @pytest.mark.parametrize("external", [False, True])
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_bitwise_mixed_leaf_occupancy(self, kind, external):
+        # a patch filling the lower-left 2 x 2 leaves over a sparse background:
+        # leaves whose own pairs fill a chunk (computed as one targets x
+        # sources block each) beside leaves with far fewer (chunked by index)
+        patch = generate_particles("gaussian_patch", 1500, 6, Domain(0.0, 0.0, 0.25), sigma=0.001)
+        particles = joined(patch, generate_particles("uniform_random", 300, 7, sigma=0.001))
+        tree = build_tree(particles, 3, UNIT)
+        z, g, s = sorted_arrays(particles, tree)
+        targets, at = tree, ()
+        if external:
+            probes = [Particle(x, y, 0.0, 1.0) for x, y in np.random.default_rng(8).random((600, 2))]
+            targets = build_tree(probes, 3, UNIT)
+            at = (targets, sorted_arrays(probes, targets)[0])
+        vel, pairs = near_field(tree, z, g, s, kind, *at)
+        expected, expected_pairs, sizes = canonical_near(tree, z, g, s, kind, *at)
+        leaf_pairs = targets.counts[3][targets.sorted_leaf] * sizes
+        assert (leaf_pairs >= _BLOCK).any() and (leaf_pairs < _BLOCK // 8).any()
+        assert np.array_equal(vel, expected)
+        assert pairs == expected_pairs
+
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_bitwise_targets_with_more_sources_than_a_chunk(self, kind):
         particles = generate_particles("uniform_random", 16000, 4, sigma=0.001)
