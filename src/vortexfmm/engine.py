@@ -384,16 +384,17 @@ def near_field(
     computed on its own: its n sources are read once from their three row
     slices into one small stacked block, and its targets, taken
     ``max(1, _BLOCK // n)`` at a time, are broadcast against it as a
-    (rows x n) block of pairs.  The targets of every other leaf are taken in
-    ascending order of their source count n, and their pairs are laid end to
-    end, by index, in chunks of about ``_BLOCK`` pairs (more only when one
-    target alone has more).  Either way no temporary grows with N, and every
-    block's terms are computed in one pair scratch, sized to the largest
-    block.  The terms of each run of targets with equal n are a C-contiguous
-    (targets x n) array, reduced with ``.sum(axis=1)``, which sums every row
-    on its own, and the terms are the same operations on the same operands
-    in both paths.  The result is therefore bit for bit that of summing every
-    target's sources separately, whatever the path and the blocking.
+    (rows x n) block of pairs (one target's n pairs when n > ``_BLOCK``).
+    The targets of every other leaf are taken in ascending order of their
+    source count n, and their pairs are laid end to end, by index, in chunks
+    of about ``_BLOCK`` pairs.  Either way no temporary grows with N, and
+    every block's terms are computed in one pair scratch, sized to the
+    largest block.  The terms of each run of targets with equal n are a
+    C-contiguous (targets x n) array, reduced with ``.sum(axis=1)``, which
+    sums every row on its own, and the terms are the same operations on the
+    same operands in both paths.  The result is therefore bit for bit that
+    of summing every target's sources separately, whatever the path and the
+    blocking.
     """
     if targets is None:
         targets, zt_sorted = tree, z_sorted
