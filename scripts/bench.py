@@ -85,8 +85,7 @@ def measure_once() -> dict:
     rows += [(n, levels, f"{n}_d{levels}") for n, levels in DENSE]
     for n, levels, label in rows:
         particles = model.generate_particles("uniform_random", n, SEED, sigma=SIGMA)
-        x, y, _, _ = model.to_arrays(particles)
-        targets = np.stack((x[:DIRECT_TARGETS], y[:DIRECT_TARGETS]), axis=1)
+        targets = np.stack((particles.x[:DIRECT_TARGETS], particles.y[:DIRECT_TARGETS]), axis=1)
         for name in KERNELS:
             kind = KernelKind(name)
             calls = []
@@ -116,7 +115,8 @@ def measure_field_probe() -> dict:
     config = engine.FmmConfig(FIELD_PROBE["levels"], FIELD_PROBE["order"])
     calls = []
     for _ in range(CALLS + 1):
-        _, stats, _ = engine._evaluate(particles, config, model.UNIT_DOMAIN, targets)
+        work = engine._tree_work(particles, config.levels, config.kernel, model.UNIT_DOMAIN, targets)
+        _, stats = engine._order_run(work, config.order)
         calls.append({phase: getattr(stats, phase) for phase in PHASES})
     oracle = []
     for _ in range(CALLS):

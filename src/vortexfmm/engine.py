@@ -27,7 +27,11 @@ the tree, the leaf-sorted arrays, the sigma guard and the near field.
 ``_order_run`` does the rest at one order: the three passes and the far
 field.  ``evaluate`` runs both with the particles themselves as targets,
 ``evaluate_at`` at arbitrary targets binned into leaves, and a sweep runs
-the first stage once for all the orders of a tree.
+the first stage once for all the orders of a tree.  ``FmmConfig`` checks its
+fields when built.  The first stage rejects a domain side outside
+``kernels._SCALE_WINDOW``, where float64 cannot square the near field's
+separations, and blob cores whose 2 sigma^2 underflows; the second raises
+rather than return a velocity that is not finite.
 
 Every coefficient is stored in units of its own cell side h: a multipole as
 a_k / h^(k+1), so that P2M sums (Gamma / h) ((z - c) / h)^k, and a local as
@@ -50,11 +54,11 @@ repeatable, but BLAS orders each cell's 27-term sum itself: last bits differ
 from a per-offset accumulation (within 1e-15 of the largest speed), and with
 more than one BLAS thread may move with a product's shape.
 
-The full chunks of a pass (``_CHUNK_BYTES`` each), when there are two or
-more, run in parallel: on a pool of one thread per core the process may use
-besides the caller's, made on first use, and on the calling thread.  Partial
-chunks and smaller passes run on the calling thread alone.  Each chunk
-assigns rows no other chunk writes, so the output does not depend on the
+The chunks of a pass go in one list.  The calling thread takes them one at a
+time, and when two or more are full (``_CHUNK_BYTES`` each) so does a pool of
+one thread per core the process may use besides the caller's, made on first
+use; smaller passes run on the calling thread alone.  Each chunk assigns rows
+no other chunk writes, so the output does not depend on the
 number of workers or on which thread ran which chunk, only on the BLAS
 library and its thread count per product.  The pass is fastest with one BLAS
 thread per product.  At 4096 particles, depth 6, order 40 (field_probe's
@@ -71,6 +75,7 @@ in place, and the budgets' amplitudes go up and their totals down the same way.
 from __future__ import annotations
 
 import functools
+import numbers
 import os
 import threading
 import time
@@ -82,7 +87,8 @@ import numpy as np
 
 from . import expansions
 from .expansions import BoundParams, truncation_bound
-from .kernels import _BLOCK, KernelKind, _check_kind, _pair_scratch, _pair_velocity
+from .kernels import (_BLOCK, KernelKind, _check_cores, _check_finite, _check_kind, _check_scale, _check_targets,
+                      _pair_scratch, _pair_velocity)
 from .model import Domain, Particle, Particles, enclosing_domain
 from .quadtree import Tree, _leaf_tree, _quadrants, build_tree
 
@@ -94,13 +100,20 @@ SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class FmmConfig:
-    """Run parameters: tree depth, truncation order, near-field kernel."""
+    """Run parameters: tree depth, truncation order, near-field kernel, checked
+    when built: ``TypeError`` for a depth or order that is not an integer (a
+    bool included) or a kernel that is not a :class:`KernelKind`,
+    ``ValueError`` for a depth below 2 or an order outside 0..``ORDER_CAP``."""
 
     levels: int
     order: int
     kernel: KernelKind = KernelKind.POINT_VORTEX
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for name in ("levels", "order"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.levels < 2:
             raise ValueError(f"levels must be >= 2, got {self.levels}")
         expansions._check_order(self.order)
@@ -256,13 +269,11 @@ def translate_pass(tree: Tree, multipoles: list, order: int) -> tuple[list, int]
     mult = multipoles[levels].base
     loc = np.empty((len(mult) - 1, p + 1), dtype=np.complex128)
     occupied = np.concatenate([*tree.counts[2:], [0]]) > 0
-    count, full, partial = 0, [], []
+    count, chunks = 0, []
     for (dest, src), stacked in zip(_pass_stencil(levels), m2l):
         count += int(np.count_nonzero(occupied[src]))
-        for a in range(0, len(dest), rows):
-            chunk = (mult, src[a:a + rows], stacked, loc, dest[a:a + rows])
-            (full if a + rows <= len(dest) else partial).append(chunk)
-    _run_chunks(full, partial)
+        chunks += [(mult, src[a:a + rows], stacked, loc, dest[a:a + rows]) for a in range(0, len(dest), rows)]
+    _run_chunks(chunks)
     return _level_views(loc, levels), count
 
 
@@ -291,11 +302,10 @@ def _chunk_pool() -> tuple[ThreadPoolExecutor | None, int]:
         return _pool, _pool_workers
 
 
-def _run_chunks(full: list, partial: list) -> None:
-    """``_translate_chunk`` on every chunk: the ``partial`` ones on the calling
-    thread, the ``full`` ones (``_CHUNK_BYTES`` each) taken one at a time by
-    the calling thread and, when there are two or more, by the chunk pool's
-    threads.
+def _run_chunks(chunks: list) -> None:
+    """``_translate_chunk`` on every chunk, taken one at a time by the calling
+    thread and, when two or more chunks are full (one more row would pass
+    ``_CHUNK_BYTES`` of gathered coefficients), by the chunk pool's threads.
 
     Each chunk writes rows no other chunk touches, and numpy's gathers and
     BLAS products release the interpreter lock, so the chunks run in parallel
@@ -305,7 +315,8 @@ def _run_chunks(full: list, partial: list) -> None:
     the interpreter is exiting, no pool can be made and an existing one takes
     no more work, so the caller runs every chunk itself.
     """
-    pending = list(full)
+    pending = list(chunks)
+    full = sum((len(ids) + 1) * len(stacked) * stacked.itemsize > _CHUNK_BYTES for _, ids, stacked, _, _ in chunks)
     lock = threading.Lock()
 
     def drain() -> None:
@@ -318,14 +329,12 @@ def _run_chunks(full: list, partial: list) -> None:
 
     futures = []
     try:
-        pool, workers = _chunk_pool() if len(full) >= 2 else (None, 0)
-        for _ in range(min(workers, len(full) - 1)):
+        pool, workers = _chunk_pool() if full >= 2 else (None, 0)
+        for _ in range(min(workers, len(chunks) - 1)):
             futures.append(pool.submit(drain))
     except RuntimeError:  # the interpreter is exiting: no pool is made and none takes work
         pass
     try:
-        for chunk in partial:
-            _translate_chunk(*chunk)
         drain()
     finally:
         for future in futures:
@@ -564,6 +573,8 @@ def _tree_work(particles: Particles | Sequence[Particle], levels: int, kernel: K
     particles = Particles.of(particles)
     if domain is None:
         domain = enclosing_domain(particles)
+    _check_scale(domain.side, "domain side")
+    _check_cores(particles.sigma, kernel)
     tree = build_tree(particles, levels, domain)
     z_sorted = (particles.x + 1j * particles.y)[tree.order]
     gamma_sorted = particles.gamma[tree.order]
@@ -580,7 +591,7 @@ def _tree_work(particles: Particles | Sequence[Particle], levels: int, kernel: K
         warnings.warn(
             f"max core radius {max_sigma:g} exceeds leaf half-width/2 = {guard:g}; "
             "the far field treats blobs as point vortices, so expect extra error",
-            stacklevel=4,
+            stacklevel=3,
         )
 
     t0 = time.perf_counter()
@@ -594,7 +605,8 @@ def _order_run(work: _TreeWork, order: int) -> tuple[np.ndarray, FmmRunStats]:
     """The second stage: the passes and the far field at order ``order``, plus
     ``work``'s near field.  Returns (u, v) rows in target order and the run
     statistics; ``t_total`` is this stage's time plus ``work``'s recorded
-    build and near-field time, the cost of a standalone run."""
+    build and near-field time, the cost of a standalone run.  A velocity that
+    is not finite raises ``ValueError`` naming its target."""
     tree = work.tree
     stats = FmmRunStats(len(work.z_sorted), tree.levels, order, t_build=work.t_build, t_near=work.t_near,
                         near_pair_count=work.near_pairs, sigma_guard_ok=work.sigma_guard_ok)
@@ -611,23 +623,7 @@ def _order_run(work: _TreeWork, order: int) -> tuple[np.ndarray, FmmRunStats]:
     velocities = np.empty_like(vel_sorted)
     velocities[work.at.order] = vel_sorted + work.near_vel
     stats.t_total = time.perf_counter() - marks[0] + work.t_build + work.t_near
-    return velocities, stats
-
-
-def _evaluate(
-    particles: Particles | Sequence[Particle],
-    config: FmmConfig,
-    domain: Domain | None,
-    targets: np.ndarray | None = None,
-) -> tuple[np.ndarray, FmmRunStats, Tree]:
-    """The full pipeline evaluated at ``targets`` ((M, 2) positions), by
-    default at the particles themselves: ``_tree_work``, then ``_order_run``.
-
-    Returns (u, v) rows in target order, the run statistics and the particle tree.
-    """
-    config.validate()
-    work = _tree_work(particles, config.levels, config.kernel, domain, targets)
-    return *_order_run(work, config.order), work.tree
+    return _check_finite(velocities, "velocity at target"), stats
 
 
 def evaluate(
@@ -640,7 +636,7 @@ def evaluate(
     Returns an (N, 2) array of (u, v) rows in the original particle order.
     When no domain is given, the smallest enclosing square is used.
     """
-    return _evaluate(particles, config, domain)[:2]
+    return _order_run(_tree_work(particles, config.levels, config.kernel, domain), config.order)
 
 
 def evaluate_at(
@@ -649,8 +645,7 @@ def evaluate_at(
     config: FmmConfig,
     domain: Domain | None = None,
 ) -> np.ndarray:
-    """Velocity at arbitrary in-domain target points (not necessarily particles)."""
-    pts = np.asarray(targets, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"targets must have shape (M, 2), got {pts.shape}")
-    return _evaluate(particles, config, domain, pts)[0]
+    """Velocity at arbitrary in-domain target points (not necessarily particles),
+    checked for shape and finiteness as ``velocity_direct`` checks them."""
+    pts = _check_targets(targets)
+    return _order_run(_tree_work(particles, config.levels, config.kernel, domain, pts), config.order)[0]

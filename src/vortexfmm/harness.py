@@ -3,9 +3,9 @@
 The sweep harness is the desk-scale study driver: it executes every tuple of
 a parameter grid against the direct oracle, appending one CSV row per run as
 it goes (crash-resumable), with metric columns that are a pure function of
-the config file.  Oracle cost is controllable: ``sampled(k)`` evaluates the
-O(N^2) reference on k targets, seeded by (N, seed) and shared by every run of
-that pair, instead of all N.
+the config file at a fixed BLAS thread count.  Oracle cost is controllable:
+``sampled(k)`` evaluates the O(N^2) reference on k targets, seeded by
+(N, seed) and shared by every run of that pair, instead of all N.
 
 Config files are flat ``key = value`` lines; list values are comma-separated;
 ``#`` starts a comment.  Keys: n, levels, p, seeds, distribution, kernel,
@@ -19,7 +19,6 @@ import json
 import math
 import os
 import re
-import statistics
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +29,7 @@ import numpy as np
 from . import engine
 from . import errors as errorlab
 from .engine import FmmConfig, bound_budgets, evaluate
-from .kernels import KernelKind, velocity_direct
+from .kernels import KernelKind, _check_cores, velocity_direct
 from .model import (
     DISTRIBUTIONS,
     GENERATOR_ID,
@@ -58,10 +57,11 @@ class ConfigError(ValueError):
 
 
 def _checked(key: str, check: Callable, *args) -> None:
-    """Run one of the checks a sweep's runs make; its ValueError becomes a ConfigError naming ``key``."""
+    """Run one of the checks a sweep's runs make; its TypeError or ValueError becomes a ConfigError
+    naming ``key``."""
     try:
         check(*args)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key}: {exc}") from None
 
 
@@ -94,9 +94,12 @@ class SweepConfig:
             _checked("'n'", _check_count, n)
         for seed in self.seeds:
             _checked("'seeds'", np.random.SeedSequence, seed)
-        for levels, p in itertools.product(self.l_values, self.p_values):
-            _checked("'levels'/'p'", FmmConfig(levels, p).validate)
+        for levels in self.l_values:
+            _checked("'levels'", FmmConfig, levels, 0)
+        for p in self.p_values:
+            _checked("'p'", FmmConfig, 2, p)
         _checked("'sigma'", Particles, [0.0], [0.0], [0.0], [self.sigma])
+        _checked("'sigma'", _check_cores, np.array([self.sigma]), _KERNEL_TOKENS[self.kernel])
         _checked("'map_grid'", errorlab._check_grid, self.map_grid)
 
     def _lists(self) -> dict[str, tuple[int, ...]]:
@@ -278,15 +281,14 @@ def run_case(
     values and the depth's work it already holds; a run without one makes
     its own.
     """
-    kind = _KERNEL_TOKENS[kernel]
-    FmmConfig(levels=levels, order=p, kernel=kind).validate()
+    config = FmmConfig(levels, p, _KERNEL_TOKENS[kernel])
     if _set is None:
         if particles is None:
             particles = generate_particles(distribution, n, seed, domain, sigma)
-        _set = _ParticleSet(particles, domain, kind, seed, oracle_k)
-    work, gathered = _set.at_depth(levels)
-    velocities, stats = engine._order_run(work, p)
-    budgets = bound_budgets(work.tree, _set.particles.gamma, p, _gathered=gathered)
+        _set = _ParticleSet(particles, domain, config.kernel, seed, oracle_k)
+    work, gathered = _set.at_depth(config.levels)
+    velocities, stats = engine._order_run(work, config.order)
+    budgets = bound_budgets(work.tree, _set.particles.gamma, config.order, _gathered=gathered)
     sample = _set.sample
     report = errorlab.compare(velocities[sample], _set.direct, _set.targets, budgets[sample])
     violations = len(errorlab.bound_check(report))
@@ -601,9 +603,7 @@ def timing_study(
         particles = generate_particles("uniform_random", n, seed)
         config = FmmConfig(levels=lev, order=p)
         evaluate(particles, config, UNIT_DOMAIN)
-        t_fmm = statistics.median(
-            evaluate(particles, config, UNIT_DOMAIN)[1].t_total for _ in range(repeats)
-        )
+        t_fmm = float(np.median([evaluate(particles, config, UNIT_DOMAIN)[1].t_total for _ in range(repeats)]))
         t_direct: float | None = None
         if n <= direct_cutoff:
             positions = np.stack((particles.x, particles.y), axis=1)
@@ -612,7 +612,7 @@ def timing_study(
                 t0 = time.perf_counter()
                 velocity_direct(positions, particles, KernelKind.POINT_VORTEX)
                 samples.append(time.perf_counter() - t0)
-            t_direct = statistics.median(samples)
+            t_direct = float(np.median(samples))
             measured.append((n, t_direct))
         rows.append((n, lev, t_fmm, t_direct))
 

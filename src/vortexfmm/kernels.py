@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -34,6 +35,10 @@ _BLOCK = 2**13
 #: :func:`_add_rows`).  A 4096 x 4096 oracle took 103 ms at 2^14 against
 #: 131 ms at 2^13 (one BLAS thread); the near field moved less than 10%.
 _ORACLE_BLOCK = 2**14
+#: The spans of points whose pairs float64 can square: from the smallest side whose square is
+#: normal to the largest whose diagonal's 2 pi r^2 stays finite (about 1.5e-154 to 3.8e153).
+#: Outside it a pair's r^2 underflows or overflows, and its velocity is lost or not finite.
+_SCALE_WINDOW = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max / (4.0 * math.pi)))
 
 
 class KernelKind(enum.Enum):
@@ -65,6 +70,40 @@ def _check_kind(kind) -> None:
     """Reject a kernel that is not a :class:`KernelKind` (a string would run the point kernel)."""
     if not isinstance(kind, KernelKind):
         raise TypeError(f"kernel must be a KernelKind, got {kind!r}")
+
+
+def _check_finite(rows: np.ndarray, what: str) -> np.ndarray:
+    """``rows``; ``ValueError`` naming the first row (``what`` and its index) that is not finite."""
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{what} {i} is not finite: {tuple(rows[i].tolist())}")
+    return rows
+
+
+def _check_targets(targets: np.ndarray | Sequence[tuple[float, float]]) -> np.ndarray:
+    """``targets`` as a finite (M, 2) float64 array, else ``ValueError``."""
+    pts = np.asarray(targets, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"targets must have shape (M, 2), got {pts.shape}")
+    return _check_finite(pts, "target")
+
+
+def _check_scale(span: float, what: str) -> None:
+    """Reject a ``span`` (the side of a square holding every pair) outside ``_SCALE_WINDOW``."""
+    lo, hi = _SCALE_WINDOW
+    if not lo <= span <= hi:
+        raise ValueError(f"{what} {span:g} is outside [{lo:.3g}, {hi:.3g}], the scales at which "
+                         "float64 can square the separations of the direct sums")
+
+
+def _check_cores(sigma: np.ndarray, kind: KernelKind) -> None:
+    """Reject blob cores whose 2 sigma^2 underflows float64's normal range: a coincident pair
+    would then compute 0 / 0."""
+    if kind is KernelKind.GAUSSIAN_BLOB and len(sigma):
+        smallest = float(sigma.min())
+        if smallest * 2.0 * smallest < sys.float_info.min:
+            raise ValueError(f"core radius sigma {smallest:g} is too small: its 2 sigma^2 underflows float64")
 
 
 def _pair_scratch(pairs: int) -> np.ndarray:
@@ -151,22 +190,24 @@ def velocity_direct(
     ``cumsum`` at M = 1 (where numpy would sum pairwise), and row by row for
     blocks of at most four sources.  So the blocking never changes a bit.
 
-    Raises ``ValueError`` naming the first target that is not finite, and
-    ``TypeError`` for a ``kind`` that is not a :class:`KernelKind`.
+    Raises ``ValueError`` naming the first target that is not finite, a
+    nonzero span of the points (targets and sources) outside
+    ``_SCALE_WINDOW``, a blob core whose 2 sigma^2 underflows, or the first
+    target whose velocity is not finite; ``TypeError`` for a ``kind`` that
+    is not a :class:`KernelKind`.
     """
     _check_kind(kind)
-    pts = np.asarray(targets, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"targets must have shape (M, 2), got {pts.shape}")
-    bad = ~np.isfinite(pts).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"target {i} is not finite: {tuple(pts[i].tolist())}")
+    pts = _check_targets(targets)
     if len(pts) == 0:
         return np.zeros((0, 2))
     tx, ty = np.ascontiguousarray(pts.T)
     src = Particles.of(sources)
     sx, sy, gamma, sigma = src.x, src.y, src.gamma, src.sigma
+    xs, ys = np.concatenate((tx, sx)), np.concatenate((ty, sy))
+    span = max(float(xs.max()) - float(xs.min()), float(ys.max()) - float(ys.min()))
+    if span:
+        _check_scale(span, "point span")
+    _check_cores(sigma, kind)
 
     u = np.zeros(len(pts))
     v = np.zeros(len(pts))
@@ -179,7 +220,7 @@ def velocity_direct(
         )
         _add_rows(u, du)
         _add_rows(v, dv)
-    return np.stack((u, v), axis=1)
+    return _check_finite(np.stack((u, v), axis=1), "velocity at target")
 
 
 def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:

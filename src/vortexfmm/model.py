@@ -83,6 +83,8 @@ class Domain:
     side: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.xmin, self.ymin, self.side))):
+            raise ValueError(f"domain xmin, ymin and side must be finite, got {self}")
         if not (self.side > 0.0):
             raise ValueError(f"domain side must be > 0, got {self.side}")
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -18,7 +19,6 @@ from conftest import particle_list, positions_of
 from vortexfmm import engine, expansions
 from vortexfmm.engine import (
     FmmConfig,
-    _evaluate,
     _interaction_stencil,
     _translations,
     bound_budgets,
@@ -202,19 +202,25 @@ CORNERS = [Particle(0.0, 0.0, 0.5, 0.005), Particle(1.0, 1.0, -0.5, 0.005),
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            FmmConfig(levels=1, order=4).validate()
+            FmmConfig(levels=1, order=4)
         with pytest.raises(ValueError):
-            FmmConfig(levels=3, order=-1).validate()
+            FmmConfig(levels=3, order=-1)
         with pytest.raises(ValueError):
-            FmmConfig(levels=3, order=61).validate()
-        FmmConfig(levels=2, order=0).validate()
+            FmmConfig(levels=3, order=61)
+        FmmConfig(levels=2, order=0)
+        FmmConfig(np.int64(3), np.int32(6))  # numpy integers pass
 
     def test_kernel_must_be_a_kernel_kind(self):
         # the string used to run the point kernel, bit for bit
         with pytest.raises(TypeError, match="KernelKind"):
-            FmmConfig(3, 8, "gaussian_blob").validate()
-        with pytest.raises(TypeError, match="KernelKind"):
-            evaluate(generate_particles("uniform_random", 50, 1, sigma=0.05), FmmConfig(3, 8, "gaussian_blob"), UNIT)
+            FmmConfig(3, 8, "gaussian_blob")
+
+    @pytest.mark.parametrize("levels, order", [(3, True), (True, 4), (2.5, 4), (3, 4.0), (3, "4")])
+    def test_levels_and_order_must_be_integers(self, levels, order):
+        # (3, True) ran as order 1; a float failed deep inside with an unrelated TypeError
+        particles = generate_particles("uniform_random", 50, 1)
+        with pytest.raises(TypeError, match="must be an integer"):
+            evaluate(particles, FmmConfig(levels, order), UNIT)
 
 
 class TestUpwardPass:
@@ -833,7 +839,7 @@ class TestBoundBudgets:
 class TestDomainScale:
     @pytest.mark.parametrize("levels", [3, 5])
     @pytest.mark.parametrize("order", [8, 40, 60])
-    @pytest.mark.parametrize("side", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("side", [1e-150, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e150])
     def test_finite_and_matches_direct_at_any_scale(self, side, order, levels):
         domain = Domain(-0.3 * side, 0.6 * side, side)
         particles = generate_particles("uniform_random", 1000, 3, domain, sigma=1e-4 * side)
@@ -842,6 +848,29 @@ class TestDomainScale:
         if order >= 40:
             direct = velocity_direct(positions_of(particles), particles, POINT)
             assert compare(vel, direct, positions_of(particles)).max_rel <= 1e-12
+
+    @pytest.mark.parametrize("side", [1e-200, 1e-160, 1e160, 1e300])
+    def test_rejects_a_side_float64_cannot_square(self, side):
+        # these returned non-finite velocities (1e-160) or about zero (the squared
+        # separations underflowed or overflowed)
+        domain = Domain(-0.3 * side, 0.6 * side, side)
+        particles = generate_particles("uniform_random", 200, 3, domain, sigma=1e-4 * side)
+        positions = positions_of(particles)
+        with pytest.raises(ValueError, match=re.escape(f"domain side {side:g} is outside")):
+            evaluate(particles, FmmConfig(3, 8), domain)
+        with pytest.raises(ValueError, match=re.escape(f"domain side {side:g} is outside")):
+            evaluate_at(positions[:5], particles, FmmConfig(3, 8), domain)
+        with pytest.raises(ValueError, match="point span .* is outside"):
+            velocity_direct(positions, particles, POINT)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_raises_rather_than_return_an_infinite_velocity(self):
+        # in the window, but Gamma / (2 pi r^2) overflows
+        particles = Particles(np.array([0.0, 1e-3]), np.array([0.0, 0.0]), np.array([1e308, 1.0]), np.full(2, 1e-4))
+        with pytest.raises(ValueError, match="velocity at target 1 is not finite"):
+            evaluate(particles, FmmConfig(2, 4), UNIT)
+        with pytest.raises(ValueError, match="velocity at target 1 is not finite"):
+            velocity_direct(positions_of(particles), particles, POINT)
 
 
 class TestEvaluateAt:
@@ -861,6 +890,13 @@ class TestEvaluateAt:
             vel_particles, _ = evaluate(particles, config, UNIT)
             vel_targets = evaluate_at(positions_of(particles), particles, config, UNIT)
             assert np.array_equal(vel_targets, vel_particles), kind
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_targets_as_velocity_direct_does(self, bad):
+        # a NaN target was reported as outside the domain
+        particles = generate_particles("uniform_random", 20, 3)
+        with pytest.raises(ValueError, match=r"target 1 is not finite: \(0.5, n?[ai]n?f?\)"):
+            evaluate_at([(0.5, 0.5), (0.5, bad)], particles, FmmConfig(2, 4), UNIT)
 
     def test_rejects_out_of_domain_targets(self):
         particles = generate_particles("uniform_random", 20, 3)
@@ -933,7 +969,8 @@ class TestGeometryProperties:
     @given(case=geometries())
     def test_finite_and_within_budget(self, case):
         particles, domain, config = case
-        vel, stats, tree = _evaluate(particles, config, domain)
+        vel, stats = evaluate(particles, config, domain)
+        tree = build_tree(particles, config.levels, domain)
         assert stats.sigma_guard_ok
         assert np.isfinite(vel).all()
         direct = velocity_direct(positions_of(particles), particles, config.kernel)

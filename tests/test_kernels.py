@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import particle_list, positions_of, random_particles
 from vortexfmm import kernels
+from vortexfmm.engine import FmmConfig, evaluate, evaluate_at
 from vortexfmm.kernels import _BLOCK, _ORACLE_BLOCK, ComplexVelocity, KernelKind, kernel_eval, velocity_direct
 from vortexfmm.model import Particle, Particles, generate_particles, to_arrays
 
@@ -179,6 +180,29 @@ def test_non_finite_target_is_named(bad, column):
     targets[2, column] = bad
     with pytest.raises(ValueError, match="target 2 is not finite"):
         velocity_direct(targets, generate_particles("uniform_random", 10, 1), POINT)
+
+
+def test_blob_core_whose_two_sigma_squared_underflows_is_named():
+    # 2 sigma^2 underflowed to 0, and every coincident pair computed 0 / 0 = NaN
+    # in the oracle and in the FMM alike
+    particles = generate_particles("uniform_random", 50, 1, sigma=1e-200)
+    positions = positions_of(particles)
+    with pytest.raises(ValueError, match="core radius sigma 1e-200"):
+        velocity_direct(positions, particles, BLOB)
+    with pytest.raises(ValueError, match="core radius sigma 1e-200"):
+        evaluate(particles, FmmConfig(3, 4, BLOB))
+    with pytest.raises(ValueError, match="core radius sigma 1e-200"):
+        evaluate_at(positions, particles, FmmConfig(3, 4, BLOB))
+    # the point kernel does not read sigma
+    assert np.isfinite(velocity_direct(positions, particles, POINT)).all()
+
+
+def test_point_span_is_checked_only_when_nonzero():
+    one = [Particle(3e200, -3e200, 1.0, 0.1)]
+    assert velocity_direct([(3e200, -3e200)], one, POINT).tolist() == [[0.0, 0.0]]
+    # the squared separation overflowed, and the velocity came back as zero
+    with pytest.raises(ValueError, match="point span 1e[+]185 is outside"):
+        velocity_direct([(0.0, 0.0)], [Particle(1e185, 0.0, 1.0, 0.1)], POINT)
 
 
 def test_kernel_must_be_a_kernel_kind():

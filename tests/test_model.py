@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,13 @@ def test_generate_rejects_bad_arguments():
         generate_particles("uniform_random", 10, 1, UNIT, -0.5)
     with pytest.raises(ValueError):
         Domain(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("fields", [(0.0, 0.0, math.inf), (math.nan, 0.0, 1.0), (0.0, -math.inf, 1.0)])
+def test_domain_fields_must_be_finite(fields):
+    # Domain(0, 0, inf) gave 600 of 600 NaN velocities; Domain(nan, 0, 1) put every particle outside
+    with pytest.raises(ValueError, match="must be finite"):
+        Domain(*fields)
 
 
 def test_roundtrip_single_particle(tmp_path):
