@@ -75,7 +75,6 @@ in place, and the budgets' amplitudes go up and their totals down the same way.
 from __future__ import annotations
 
 import functools
-import numbers
 import os
 import threading
 import time
@@ -89,7 +88,7 @@ from . import expansions
 from .expansions import BoundParams, truncation_bound
 from .kernels import (_BLOCK, KernelKind, _check_cores, _check_finite, _check_kind, _check_scale, _check_targets,
                       _pair_scratch, _pair_velocity)
-from .model import Domain, Particle, Particles, enclosing_domain
+from .model import Domain, Particle, Particles, _check_integer, enclosing_domain
 from .quadtree import Tree, _leaf_tree, _quadrants, build_tree
 
 if TYPE_CHECKING:
@@ -110,10 +109,8 @@ class FmmConfig:
     kernel: KernelKind = KernelKind.POINT_VORTEX
 
     def __post_init__(self) -> None:
-        for name in ("levels", "order"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+        _check_integer("levels", self.levels)
+        _check_integer("order", self.order)
         if self.levels < 2:
             raise ValueError(f"levels must be >= 2, got {self.levels}")
         expansions._check_order(self.order)

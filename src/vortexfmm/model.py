@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,7 +109,14 @@ class Domain:
 UNIT_DOMAIN = Domain(0.0, 0.0, 1.0)
 
 
+def _check_integer(name: str, value) -> None:
+    """``TypeError`` unless ``value`` is an integer; numpy integers pass, a bool does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_count(n: int) -> None:
+    _check_integer("particle count", n)
     if n < 1:
         raise ValueError(f"particle count must be >= 1, got {n}")
 

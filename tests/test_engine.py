@@ -895,7 +895,7 @@ class TestEvaluateAt:
     def test_rejects_non_finite_targets_as_velocity_direct_does(self, bad):
         # a NaN target was reported as outside the domain
         particles = generate_particles("uniform_random", 20, 3)
-        with pytest.raises(ValueError, match=r"target 1 is not finite: \(0.5, n?[ai]n?f?\)"):
+        with pytest.raises(ValueError, match="target 1 is not finite"):
             evaluate_at([(0.5, 0.5), (0.5, bad)], particles, FmmConfig(2, 4), UNIT)
 
     def test_rejects_out_of_domain_targets(self):

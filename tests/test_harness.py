@@ -86,10 +86,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="'distribution'"):
             run_sweep(SweepConfig((100,), (2,), (4,), (1,), distribution="uniform"), out)
         good = SweepConfig((100,), (2,), (4,), (1,))
-        # a non-integral depth or order, and a blob core whose 2 sigma^2 underflows, were
+        # a non-integral count, depth or order, and a blob core whose 2 sigma^2 underflows, were
         # accepted and failed (or gave NaN) only after the header was written
         for change, key in (({"sigma": 0.0}, "sigma"), ({"oracle_k": 0}, "oracle"), ({"p_values": (61,)}, "p"),
-                            ({"l_values": (2.5,)}, "levels"), ({"p_values": (True,)}, "p"),
+                            ({"n_values": (100.5,)}, "n"), ({"l_values": (2.5,)}, "levels"),
+                            ({"p_values": (True,)}, "p"),
                             ({"kernel": "gaussian", "sigma": 1e-200}, "sigma")):
             with pytest.raises(ConfigError, match=f"'{key}'"):
                 dataclasses.replace(good, **change)

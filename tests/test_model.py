@@ -144,6 +144,8 @@ def test_generate_rejects_bad_arguments():
         generate_particles("uniform_random", 10, 1, UNIT, -0.5)
     with pytest.raises(ValueError):
         Domain(0.0, 0.0, 0.0)
+    with pytest.raises(TypeError, match="particle count must be an integer"):
+        generate_particles("uniform_random", 10.0, 1, UNIT, 0.01)
 
 
 @pytest.mark.parametrize("fields", [(0.0, 0.0, math.inf), (math.nan, 0.0, 1.0), (0.0, -math.inf, 1.0)])
