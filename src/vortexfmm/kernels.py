@@ -74,9 +74,9 @@ def _check_kind(kind) -> None:
 
 def _check_finite(rows: np.ndarray, what: str) -> np.ndarray:
     """``rows``; ``ValueError`` naming the first row (``what`` and its index) that is not finite."""
-    bad = ~np.isfinite(rows).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
+    finite = np.isfinite(rows)
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=1)))
         raise ValueError(f"{what} {i} is not finite: {tuple(rows[i].tolist())}")
     return rows
 
