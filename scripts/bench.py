@@ -320,10 +320,12 @@ def main() -> int:
         spec = json.loads((ROOT / "BENCHMARK.json").read_text())
         seconds = spec["run_seconds"]
         lines: dict[str, list] = {side: [] for side in sides}
-        for i, (seed, workload) in enumerate((s, w) for s in PERFBENCH_SEEDS for w in WORKLOADS):
-            for side in order if i % 2 == 0 else order[::-1]:
-                lines[side].append(_perfbench(sides[side], workload, seed, seconds))
-                print(f"perfbench {workload} seed {seed} {side} done", file=sys.stderr, flush=True)
+        # each workload alternates which side goes first from one seed to the next
+        for i, seed in enumerate(PERFBENCH_SEEDS):
+            for workload in WORKLOADS:
+                for side in order if i % 2 == 0 else order[::-1]:
+                    lines[side].append(_perfbench(sides[side], workload, seed, seconds))
+                    print(f"perfbench {workload} seed {seed} {side} done", file=sys.stderr, flush=True)
         report["perfbench"] = {"seconds": seconds, **lines}
         if "base" in sides:
             report["perfbench_summary"] = _perfbench_summary(lines, spec["end_to_end"])
