@@ -21,7 +21,11 @@ their output.  Each line is a name and the first 16 hex digits of a SHA-256:
   than one block of pairs holds (so one source per block);
 - the metric columns (all but ``t_fmm_ms`` and ``t_direct_ms``) of the
   seed-1 and seed-2 ``study.cfg`` sweeps, and of the seed-1 sweep cut inside
-  its first (n, l, seed) group, a torn row included, then resumed.
+  its first (n, l, seed) group, a torn row included, then resumed;
+- the three files ``run_single`` writes (``velocities.csv``,
+  ``error_report.csv``, ``error_map.csv``) for three inputs
+  (``SINGLE_RUNS``): a generated point-vortex run, a blob run on
+  ``gaussian_patch``, and a particle file on the domain (-2, -1, 3).
 
 Outputs may depend on the BLAS thread count, so compare two checkouts under
 the same ``OPENBLAS_NUM_THREADS``.
@@ -55,6 +59,15 @@ ORACLES = {
     "velocity_direct/1_target_4096": (1, 4096, "point_vortex", 0.005),
     "velocity_direct/20000_targets_300": (20000, 300, "point_vortex", 0.005),
 }
+#: name -> run_single's keyword arguments; a "domain" (xmin, ymin, side)
+#: writes the generated particles on it to a file, and the run reads that file
+SINGLE_RUNS = {
+    "run_single/1000_d3_p8_point": {"n": 1000, "levels": 3, "p": 8},
+    "run_single/1500_d4_p12_blob_gaussian_patch": {
+        "n": 1500, "levels": 4, "p": 12, "distribution": "gaussian_patch", "kernel": "gaussian"
+    },
+    "run_single/800_d4_p10_point_file_offset_domain": {"n": 800, "levels": 4, "p": 10, "domain": (-2.0, -1.0, 3.0)},
+}
 SEED = 1
 #: sweep rows kept before the torn row when the cut sweep is resumed
 CUT_ROWS = 4
@@ -81,7 +94,7 @@ def main() -> int:
     import numpy as np
     from vortexfmm import FmmConfig, evaluate, evaluate_at, harness
     from vortexfmm.kernels import KernelKind, velocity_direct
-    from vortexfmm.model import Domain, generate_particles
+    from vortexfmm.model import Domain, generate_particles, write_particles
 
     for name, (n, levels, order, kernel, sigma, box) in EVALUATIONS.items():
         domain = Domain(*box)
@@ -118,6 +131,20 @@ def main() -> int:
         cut.write_text("".join(lines[:1 + CUT_ROWS]) + lines[1 + CUT_ROWS][:20])
         harness.run_sweep(dataclasses.replace(study, seeds=(1,)), cut, resume=True)
         print(f"sweep/study_seed1_resumed {digest(metric_columns(cut))}")
+
+        for name, kwargs in SINGLE_RUNS.items():
+            kwargs = dict(kwargs)
+            if "domain" in kwargs:
+                path = Path(tmp) / "particles.csv"
+                domain = Domain(*kwargs.pop("domain"))
+                write_particles(path, generate_particles("uniform_random", kwargs.pop("n"), SEED, domain))
+                kwargs["particles_path"] = path
+            out_dir = Path(tmp) / name
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                harness.run_single(out_dir, seed=SEED, **kwargs)
+            for file in ("velocities.csv", "error_report.csv", "error_map.csv"):
+                print(f"{name}/{file} {digest((out_dir / file).read_text())}")
     return 0
 
 

@@ -9,7 +9,8 @@ import argparse
 import sys
 
 from . import harness
-from .model import DISTRIBUTIONS, UNIT_DOMAIN, generate_particles, write_particles
+from .errors import DEFAULT_MAP_GRID
+from .model import DEFAULT_SIGMA, DISTRIBUTIONS, UNIT_DOMAIN, generate_particles, write_particles
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -25,11 +26,11 @@ def _build_parser() -> argparse.ArgumentParser:
     single.add_argument("--p", type=int, default=8, help="expansion truncation order")
     single.add_argument("--seed", type=int, default=1)
     single.add_argument("--distribution", choices=DISTRIBUTIONS, default="uniform_random")
-    single.add_argument("--kernel", choices=("point", "gaussian"), default="point")
-    single.add_argument("--sigma", type=float, default=0.005, help="core radius for generated sets")
+    single.add_argument("--kernel", choices=tuple(harness._KERNEL_TOKENS), default="point")
+    single.add_argument("--sigma", type=float, default=DEFAULT_SIGMA, help="core radius for generated sets")
     single.add_argument("--particles", metavar="FILE", help="particle CSV overriding the generator")
     single.add_argument("--out-dir", default=".", help="directory for the three output files")
-    single.add_argument("--map-grid", type=int, default=8, metavar="G", help="error map bins per side")
+    single.add_argument("--map-grid", type=int, default=DEFAULT_MAP_GRID, metavar="G", help="error map bins per side")
 
     sweep = sub.add_parser("sweep", help="run a full (n, levels, p, seeds) grid from a config file")
     sweep.add_argument("config", help="flat key = value config file")
@@ -56,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--distribution", choices=DISTRIBUTIONS, default="uniform_random")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, default=1)
-    gen.add_argument("--sigma", type=float, default=0.005)
+    gen.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
     gen.add_argument("--out", required=True, metavar="FILE")
     return parser
 

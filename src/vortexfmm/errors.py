@@ -79,6 +79,10 @@ def compare(
     )
 
 
+#: Bins per side of an error map unless a caller gives another.
+DEFAULT_MAP_GRID = 8
+
+
 @dataclass
 class ErrorMap:
     """Per-bin max/mean velocity error on a g x g spatial grid.

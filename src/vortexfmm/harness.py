@@ -5,7 +5,10 @@ a parameter grid against the direct oracle, appending one CSV row per run as
 it goes (crash-resumable), with metric columns that are a pure function of
 the config file at a fixed BLAS thread count.  Oracle cost is controllable:
 ``sampled(k)`` evaluates the O(N^2) reference on k targets, seeded by
-(N, seed) and shared by every run of that pair, instead of all N.
+(N, seed) and shared by every run of that pair, instead of all N.  Every
+run, a sweep row, a single run or a standalone ``run_case``, goes through
+one private ``_ParticleSet``: the particles, their oracle and the work that
+runs of one depth share.
 
 Config files are flat ``key = value`` lines; list values are comma-separated;
 ``#`` starts a comment.  Keys: n, levels, p, seeds, distribution, kernel,
@@ -31,6 +34,7 @@ from . import errors as errorlab
 from .engine import FmmConfig, bound_budgets, evaluate
 from .kernels import KernelKind, _check_cores, velocity_direct
 from .model import (
+    DEFAULT_SIGMA,
     DISTRIBUTIONS,
     GENERATOR_ID,
     UNIT_DOMAIN,
@@ -50,6 +54,14 @@ _SWEEP_COLUMNS = SWEEP_HEADER.count(",") + 1
 TIMING_HEADER = "n,l,p,t_fmm_ms,t_direct_ms,direct_extrapolated"
 
 _KERNEL_TOKENS = {"point": KernelKind.POINT_VORTEX, "gaussian": KernelKind.GAUSSIAN_BLOB}
+
+
+def _kernel_kind(token: str) -> KernelKind:
+    """The kernel a config or command-line token names; ``ValueError`` for any other token."""
+    try:
+        return _KERNEL_TOKENS[token]
+    except KeyError:
+        raise ValueError(f"expected {' or '.join(_KERNEL_TOKENS)}, got {token!r}") from None
 
 
 class ConfigError(ValueError):
@@ -73,16 +85,15 @@ class SweepConfig:
     seeds: tuple[int, ...]
     distribution: str = "uniform_random"
     kernel: str = "point"
-    sigma: float = 0.005
-    map_grid: int = 8
+    sigma: float = DEFAULT_SIGMA
+    map_grid: int = errorlab.DEFAULT_MAP_GRID
     oracle_k: int | None = 200  # targets of the sampled oracle; None = all
     out: str = "sweep_results.csv"
 
     def __post_init__(self):
         """Put every value through the checks its runs would make, so that a bad
         config is rejected however it is built, before any output is written."""
-        if self.kernel not in _KERNEL_TOKENS:
-            raise ConfigError(f"config key 'kernel': expected point or gaussian, got {self.kernel!r}")
+        _checked("'kernel'", _kernel_kind, self.kernel)
         if self.distribution not in DISTRIBUTIONS:
             raise ConfigError(f"config key 'distribution': expected one of {DISTRIBUTIONS}, got {self.distribution!r}")
         if self.oracle_k is not None and self.oracle_k < 1:
@@ -182,21 +193,29 @@ def parse_sweep_config(path) -> SweepConfig:
 
 
 class _ParticleSet:
-    """One particle set on one domain and kernel, and what its runs share.
+    """One particle set on one domain and kernel, and what every run on it shares.
 
-    A sweep keeps one for each (n, seed).  Its runs score the same oracle
-    sample: ``oracle_k`` targets drawn from ``[seed, n, 0x0F5EED]`` when that
-    is fewer than n (``sampled`` is then ``oracle_k``), otherwise all n
-    (``sampled`` 0).  The set makes the one ``velocity_direct`` call on them
-    and keeps its values and its time, which every run reports as its oracle
-    cost.  The runs of one depth share the order-independent work,
-    ``engine._tree_work``, and the bound budgets' amplitudes,
-    ``engine._budget_gather``, both recomputed when the depth changes.
-    Either is exact: results are bit for bit a standalone run's.
+    Every run goes through one: a sweep keeps one for each (n, seed), and a
+    single run or a standalone ``run_case`` makes its own.  The set records
+    what identifies its runs: ``seed``, ``distribution`` and the ``kernel``
+    token, which it rejects unless it names a kernel.  Its runs score the
+    same oracle sample: ``oracle_k`` targets drawn from
+    ``[seed, n, 0x0F5EED]`` when that is fewer than n (``sampled`` is then
+    ``oracle_k``), otherwise all n (``sampled`` 0).  The set makes the one
+    ``velocity_direct`` call on them and keeps its values and its time,
+    which every run reports as its oracle cost.  The runs of one depth share
+    the order-independent work, ``engine._tree_work``, and the bound
+    budgets' amplitudes, ``engine._budget_gather``, both recomputed when the
+    depth changes.  Either is exact: results are bit for bit a standalone
+    run's.
     """
 
-    def __init__(self, particles: Particles, domain: Domain, kind: KernelKind, seed: int, oracle_k: int | None):
-        self.particles, self.domain, self.kind = particles, domain, kind
+    def __init__(
+        self, particles: Particles, domain: Domain, kernel: str, seed: int, distribution: str, oracle_k: int | None
+    ):
+        self.kind = _kernel_kind(kernel)
+        self.particles, self.domain, self.kernel = particles, domain, kernel
+        self.seed, self.distribution = seed, distribution
         n = len(particles)
         if oracle_k is not None and oracle_k < n:
             rng = np.random.default_rng([seed, n, 0x0F5EED])
@@ -205,9 +224,17 @@ class _ParticleSet:
             self.sample, self.sampled = np.arange(n), 0
         self.targets = np.stack((particles.x, particles.y), axis=1)[self.sample]
         t0 = time.perf_counter()
-        self.direct = velocity_direct(self.targets, particles, kind)
+        self.direct = velocity_direct(self.targets, particles, self.kind)
         self.t_direct_ms = (time.perf_counter() - t0) * 1e3
         self.work = self.gathered = None
+
+    @classmethod
+    def generated(
+        cls, distribution: str, n: int, seed: int, kernel: str, sigma: float, oracle_k: int | None
+    ) -> _ParticleSet:
+        """The set of ``n`` particles that ``generate_particles`` draws from ``seed`` on the unit domain."""
+        particles = generate_particles(distribution, n, seed, UNIT_DOMAIN, sigma)
+        return cls(particles, UNIT_DOMAIN, kernel, seed, distribution, oracle_k)
 
     def at_depth(self, levels: int) -> tuple[engine._TreeWork, np.ndarray]:
         """The order-independent work and the budget amplitudes at depth ``levels``."""
@@ -219,40 +246,34 @@ class _ParticleSet:
 
 @dataclass
 class CaseResult:
-    """Everything one (n, levels, p, seed) run produces."""
+    """What one (levels, p) run on a particle set computed; the rest is the set's."""
 
-    n: int
+    particle_set: _ParticleSet
     levels: int
     p: int
-    seed: int
-    distribution: str
-    kernel: str
     report: errorlab.ErrorReport
     violations: int
-    sampled: int  # 0 = full oracle, else the sample size used
     t_fmm_ms: float
-    t_direct_ms: float
     m2l_count: int
     near_pair_count: int
     velocities: np.ndarray
-    direct: np.ndarray
 
     def csv_row(self) -> str:
-        rep = self.report
+        rep, pset = self.report, self.particle_set
         fields = [
-            str(self.n),
+            str(len(pset.particles)),
             str(self.levels),
             str(self.p),
-            str(self.seed),
-            self.distribution,
-            self.kernel,
+            str(pset.seed),
+            pset.distribution,
+            pset.kernel,
             format(rep.max_abs, ".10g"),
             "NA" if math.isnan(rep.max_rel) else format(rep.max_rel, ".10g"),
             "NA" if math.isnan(rep.rms_rel) else format(rep.rms_rel, ".10g"),
             str(self.violations),
-            str(self.sampled),
+            str(pset.sampled),
             format(self.t_fmm_ms, ".3f"),
-            format(self.t_direct_ms, ".3f"),
+            format(pset.t_direct_ms, ".3f"),
             str(self.m2l_count),
             str(self.near_pair_count),
             GENERATOR_ID,
@@ -260,54 +281,26 @@ class CaseResult:
         return ",".join(fields)
 
 
-def run_case(
-    n: int,
-    levels: int,
-    p: int,
-    seed: int,
-    distribution: str = "uniform_random",
-    kernel: str = "point",
-    sigma: float = 0.005,
-    domain: Domain = UNIT_DOMAIN,
-    oracle_k: int | None = None,
-    particles: Particles | None = None,
-    _set: _ParticleSet | None = None,
-) -> CaseResult:
-    """Generate (or take) particles, run the fast evaluation and the oracle, compare.
-
-    The oracle scores ``oracle_k`` targets drawn from (n, seed) alone when
-    that is fewer than n, otherwise all of them.  ``_set``, kept by a sweep
-    for the particles of (n, seed), supplies them, that sample's direct
-    values and the depth's work it already holds; a run without one makes
-    its own.
-    """
-    config = FmmConfig(levels, p, _KERNEL_TOKENS[kernel])
-    if _set is None:
-        if particles is None:
-            particles = generate_particles(distribution, n, seed, domain, sigma)
-        _set = _ParticleSet(particles, domain, config.kernel, seed, oracle_k)
-    work, gathered = _set.at_depth(config.levels)
+def run_case(particle_set: _ParticleSet, levels: int, p: int) -> CaseResult:
+    """Run the fast evaluation at depth ``levels`` and order ``p`` on a particle set, and
+    score it against the set's oracle sample and the run's truncation budgets."""
+    config = FmmConfig(levels, p, particle_set.kind)
+    work, gathered = particle_set.at_depth(config.levels)
     velocities, stats = engine._order_run(work, config.order)
-    budgets = bound_budgets(work.tree, _set.particles.gamma, config.order, _gathered=gathered)
-    sample = _set.sample
-    report = errorlab.compare(velocities[sample], _set.direct, _set.targets, budgets[sample])
+    budgets = bound_budgets(work.tree, particle_set.particles.gamma, config.order, _gathered=gathered)
+    sample = particle_set.sample
+    report = errorlab.compare(velocities[sample], particle_set.direct, particle_set.targets, budgets[sample])
     violations = len(errorlab.bound_check(report))
     return CaseResult(
-        n=n,
+        particle_set=particle_set,
         levels=levels,
         p=p,
-        seed=seed,
-        distribution=distribution,
-        kernel=kernel,
         report=report,
         violations=violations,
-        sampled=_set.sampled,
         t_fmm_ms=stats.t_total * 1e3,
-        t_direct_ms=_set.t_direct_ms,
         m2l_count=stats.m2l_count,
         near_pair_count=stats.near_pair_count,
         velocities=velocities,
-        direct=_set.direct,
     )
 
 
@@ -318,19 +311,17 @@ def run_case(
 
 @dataclass
 class SingleSummary:
-    max_abs: float
-    max_rel: float
-    violations: int
-    t_fmm_ms: float
-    t_direct_ms: float
+    case: CaseResult
     out_files: tuple[Path, Path, Path]
 
     def line(self) -> str:
-        ratio = self.t_fmm_ms / self.t_direct_ms if self.t_direct_ms > 0 else math.nan
-        rel = "NA" if math.isnan(self.max_rel) else format(self.max_rel, ".3e")
+        case, rep = self.case, self.case.report
+        t_direct_ms = case.particle_set.t_direct_ms
+        ratio = case.t_fmm_ms / t_direct_ms if t_direct_ms > 0 else math.nan
+        rel = "NA" if math.isnan(rep.max_rel) else format(rep.max_rel, ".3e")
         return (
-            f"max_rel={rel} max_abs={self.max_abs:.3e} bound_violations={self.violations} "
-            f"t_fmm={self.t_fmm_ms:.1f}ms t_direct={self.t_direct_ms:.1f}ms "
+            f"max_rel={rel} max_abs={rep.max_abs:.3e} bound_violations={case.violations} "
+            f"t_fmm={case.t_fmm_ms:.1f}ms t_direct={t_direct_ms:.1f}ms "
             f"t_fmm/t_direct={ratio:.3f}"
         )
 
@@ -356,17 +347,21 @@ def run_single(
     seed: int = 1,
     distribution: str = "uniform_random",
     kernel: str = "point",
-    sigma: float = 0.005,
+    sigma: float = DEFAULT_SIGMA,
     particles_path=None,
-    map_grid: int = 8,
+    map_grid: int = errorlab.DEFAULT_MAP_GRID,
 ) -> SingleSummary:
     """One evaluation against the full direct oracle; writes three CSV files.
 
     Outputs (written atomically into ``out_dir``): ``velocities.csv``,
     ``error_report.csv``, ``error_map.csv``.  When ``particles_path`` is
     given it overrides the generator and the domain becomes the particles'
-    enclosing square.
+    enclosing square.  The map grid, depth, order and kernel are checked
+    first: a bad one fails before any particle is made, any file is written
+    or the oracle runs.
     """
+    errorlab._check_grid(map_grid)
+    FmmConfig(levels, p, _kernel_kind(kernel))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -374,47 +369,35 @@ def run_single(
         particles = read_particles(particles_path)
         if not particles:
             raise ValueError(f"{particles_path}: no particles")
-        domain = enclosing_domain(particles)
-        n = len(particles)
+        particle_set = _ParticleSet(particles, enclosing_domain(particles), kernel, seed, distribution, None)
     else:
-        domain = UNIT_DOMAIN
-        particles = None
+        particle_set = _ParticleSet.generated(distribution, n, seed, kernel, sigma, None)
 
-    case = run_case(n, levels, p, seed, distribution, kernel, sigma, domain, particles=particles)
-    emap = errorlab.spatial_map(case.report, domain, map_grid)
+    case = run_case(particle_set, levels, p)
+    emap = errorlab.spatial_map(case.report, particle_set.domain, map_grid)
 
     vel_path = out_dir / "velocities.csv"
     rep_path = out_dir / "error_report.csv"
     map_path = out_dir / "error_map.csv"
 
-    rep = case.report
+    rep, vel, direct = case.report, case.velocities, particle_set.direct
     lines = ["index,x,y,u_fmm,v_fmm,u_direct,v_direct"]
-    for i in range(case.n):
-        px, py = rep.positions[i]
+    for i, (px, py) in enumerate(rep.positions):
         lines.append(
-            f"{i},{px:.17g},{py:.17g},{case.velocities[i, 0]:.17g},{case.velocities[i, 1]:.17g},"
-            f"{case.direct[i, 0]:.17g},{case.direct[i, 1]:.17g}"
+            f"{i},{px:.17g},{py:.17g},{vel[i, 0]:.17g},{vel[i, 1]:.17g},"
+            f"{direct[i, 0]:.17g},{direct[i, 1]:.17g}"
         )
     _atomic_text(vel_path, "\n".join(lines) + "\n")
 
     lines = ["index,x,y,abs_err,f_abs_err,budget"]
-    for i in range(case.n):
-        px, py = rep.positions[i]
-        budget = rep.bound_budget[i] if rep.bound_budget is not None else math.nan
+    for i, (px, py) in enumerate(rep.positions):
         lines.append(
-            f"{i},{px:.17g},{py:.17g},{rep.abs_errors[i]:.10g},{rep.f_abs_errors[i]:.10g},{budget:.10g}"
+            f"{i},{px:.17g},{py:.17g},{rep.abs_errors[i]:.10g},{rep.f_abs_errors[i]:.10g},{rep.bound_budget[i]:.10g}"
         )
     _atomic_text(rep_path, "\n".join(lines) + "\n")
     _atomic_text(map_path, errorlab.error_map_text(emap))
 
-    return SingleSummary(
-        max_abs=rep.max_abs,
-        max_rel=rep.max_rel,
-        violations=case.violations,
-        t_fmm_ms=case.t_fmm_ms,
-        t_direct_ms=case.t_direct_ms,
-        out_files=(vel_path, rep_path, map_path),
-    )
+    return SingleSummary(case, (vel_path, rep_path, map_path))
 
 
 # ---------------------------------------------------------------------------
@@ -512,20 +495,10 @@ def run_sweep(
             if n != sets_n:  # tuples run in n order: the last n's particles are done with
                 sets_n, sets = n, {}
             if seed not in sets:
-                particles = generate_particles(config.distribution, n, seed, UNIT_DOMAIN, config.sigma)
-                sets[seed] = _ParticleSet(particles, UNIT_DOMAIN, _KERNEL_TOKENS[config.kernel], seed, config.oracle_k)
-            case = run_case(
-                n,
-                lev,
-                p,
-                seed,
-                config.distribution,
-                config.kernel,
-                config.sigma,
-                UNIT_DOMAIN,
-                config.oracle_k,
-                _set=sets[seed],
-            )
+                sets[seed] = _ParticleSet.generated(
+                    config.distribution, n, seed, config.kernel, config.sigma, config.oracle_k
+                )
+            case = run_case(sets[seed], lev, p)
             # the map goes first: a row marks its tuple done, map included
             if write_maps:
                 emap = errorlab.spatial_map(case.report, UNIT_DOMAIN, config.map_grid)

@@ -24,6 +24,9 @@ GENERATOR_ID = "numpy-pcg64"
 
 DISTRIBUTIONS = ("uniform_random", "gaussian_patch", "two_patches")
 
+#: Core radius of generated particles unless a caller gives another.
+DEFAULT_SIGMA = 0.005
+
 
 class ParticleFileError(ValueError):
     """Raised for malformed particle CSV files (carries the offending line)."""
@@ -126,7 +129,7 @@ def generate_particles(
     n: int,
     seed: int,
     domain: Domain = UNIT_DOMAIN,
-    sigma: float = 0.005,
+    sigma: float = DEFAULT_SIGMA,
 ) -> Particles:
     """Generate ``n`` seeded particles on ``domain``.
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from vortexfmm import cli, engine, errors, harness
+from vortexfmm.engine import FmmConfig, bound_budgets, evaluate
 from vortexfmm.harness import (
     SWEEP_HEADER,
     ConfigError,
@@ -21,8 +22,17 @@ from vortexfmm.harness import (
     run_sweep,
     timing_study,
 )
-from vortexfmm.kernels import velocity_direct
-from vortexfmm.model import UNIT_DOMAIN, generate_particles, read_particles
+from vortexfmm.kernels import KernelKind, velocity_direct
+from vortexfmm.model import (
+    DEFAULT_SIGMA,
+    UNIT_DOMAIN,
+    Domain,
+    enclosing_domain,
+    generate_particles,
+    read_particles,
+    write_particles,
+)
+from vortexfmm.quadtree import build_tree
 
 SMALL_CFG = """
 # comment lines and blanks are fine
@@ -305,6 +315,17 @@ def metric_cells(lines):
     return [cells[:11] + cells[13:] for cells in (line.split(",") for line in lines)]
 
 
+def standalone_runs(config):
+    """One run per tuple of ``config``, each on a particle set of its own, as a run outside a sweep makes."""
+    runs = []
+    for n, lev, p, seed in config.tuples():
+        particle_set = harness._ParticleSet.generated(
+            config.distribution, n, seed, config.kernel, config.sigma, config.oracle_k
+        )
+        runs.append(run_case(particle_set, lev, p))
+    return runs
+
+
 class TestSweepOracleMemo:
     """Rows of one (n, seed) share its particles, one oracle sample and that sample's one direct call."""
 
@@ -315,7 +336,7 @@ class TestSweepOracleMemo:
     @pytest.mark.parametrize("oracle_k", [30, None])
     def test_rows_match_independent_runs_and_each_target_is_summed_once(self, tmp_path, monkeypatch, oracle_k):
         config = self.config(oracle_k)
-        cases = [run_case(n, lev, p, seed, oracle_k=oracle_k) for n, lev, p, seed in config.tuples()]
+        cases = standalone_runs(config)
         calls, generated, swept = [], [], []
 
         def counted(targets, sources, kind):
@@ -339,11 +360,16 @@ class TestSweepOracleMemo:
         assert generated == [(100, 1), (100, 2), (160, 1), (160, 2)]
         assert calls == [(n, oracle_k or n) for n, _ in generated]
         assert metric_cells(rows) == metric_cells(case.csv_row() for case in cases)
-        # every row of one (n, seed) scores its one sample and reports its one call's time
+        # every row of one (n, seed) runs on its one set, scores its one sample and reports its one call's time
         first = {}
-        for standalone, case, cells in zip(cases, swept, (row.split(",") for row in rows), strict=True):
-            positions, t_direct = first.setdefault((case.n, case.seed), (case.report.positions, cells[12]))
-            assert len(positions) == (oracle_k or case.n)
+        for (n, _, _, seed), standalone, case, cells in zip(
+            config.tuples(), cases, swept, (row.split(",") for row in rows), strict=True
+        ):
+            positions, t_direct, shared = first.setdefault(
+                (n, seed), (case.report.positions, cells[12], case.particle_set)
+            )
+            assert case.particle_set is shared
+            assert len(positions) == (oracle_k or n)
             assert case.report.positions.tobytes() == standalone.report.positions.tobytes() == positions.tobytes()
             assert cells[12] == t_direct and float(t_direct) > 0
 
@@ -430,12 +456,12 @@ class TestSweepTreeWork:
     @pytest.mark.parametrize("oracle_k", [30, None])
     def test_rows_and_maps_match_independent_runs(self, tmp_path, oracle_k):
         config = self.config(oracle_k)
-        cases = [run_case(n, lev, p, seed, oracle_k=oracle_k) for n, lev, p, seed in config.tuples()]
+        cases = standalone_runs(config)
         out, _ = run_sweep(config, tmp_path / "rows.csv", write_maps=True)
         assert metric_cells(out.read_text().splitlines()[1:]) == metric_cells(case.csv_row() for case in cases)
-        for case in cases:
+        for (n, lev, p, seed), case in zip(config.tuples(), cases, strict=True):
             emap = errors.spatial_map(case.report, UNIT_DOMAIN, config.map_grid)
-            written = tmp_path / "rows_maps" / f"map_n{case.n}_l{case.levels}_p{case.p}_s{case.seed}.csv"
+            written = tmp_path / "rows_maps" / f"map_n{n}_l{lev}_p{p}_s{seed}.csv"
             assert written.read_text() == errors.error_map_text(emap)
 
     def test_resume_inside_an_n_l_seed_group(self, tmp_path):
@@ -476,12 +502,12 @@ class TestRunSingle:
         summary = run_single(tmp_path, n=120, levels=2, p=6, seed=1)
         for path in summary.out_files:
             assert path.exists()
-        assert summary.max_rel < 0.5
+        assert summary.case.report.max_rel < 0.5
         assert "max_rel=" in summary.line()
 
     def test_high_order_summary_reaches_oracle_floor(self, tmp_path):
         summary = run_single(tmp_path, n=1000, levels=3, p=30, seed=1)
-        assert summary.max_rel <= 1e-10
+        assert summary.case.report.max_rel <= 1e-10
 
     def test_particle_file_override(self, tmp_path):
         rc = cli.main(["gen", "--n", "80", "--seed", "3", "--out", str(tmp_path / "pts.csv")])
@@ -495,6 +521,63 @@ class TestRunSingle:
         )
         lines = summary.out_files[0].read_text().splitlines()
         assert len(lines) == 81
+
+    @pytest.mark.parametrize("source", ["generated", "file"])
+    def test_written_values_are_the_evaluation_the_oracle_and_the_budgets(self, tmp_path, source):
+        levels, p = 3, 10
+        if source == "generated":
+            kwargs = {"n": 300, "seed": 4, "distribution": "gaussian_patch", "kernel": "gaussian"}
+            particles, domain = generate_particles("gaussian_patch", 300, 4, UNIT_DOMAIN, DEFAULT_SIGMA), UNIT_DOMAIN
+            kind = KernelKind.GAUSSIAN_BLOB
+        else:
+            path = tmp_path / "pts.csv"
+            write_particles(path, generate_particles("uniform_random", 300, 4, Domain(-2.0, -1.0, 3.0)))
+            kwargs, particles = {"particles_path": path}, read_particles(path)
+            domain, kind = enclosing_domain(particles), KernelKind.POINT_VORTEX
+        vel_path, rep_path, _ = run_single(tmp_path / "out", levels=levels, p=p, **kwargs).out_files
+        positions = np.stack((particles.x, particles.y), axis=1)
+        fmm, _ = evaluate(particles, FmmConfig(levels, p, kind), domain)
+        direct = velocity_direct(positions, particles, kind)
+        budgets = bound_budgets(build_tree(particles, levels, domain), particles.gamma, p)
+
+        # 17 significant digits round-trip, so the parsed values are the computed bits
+        vel_lines, rep_lines = vel_path.read_text().splitlines(), rep_path.read_text().splitlines()
+        assert vel_lines[0] == "index,x,y,u_fmm,v_fmm,u_direct,v_direct"
+        assert rep_lines[0] == "index,x,y,abs_err,f_abs_err,budget"
+        velocities = np.array([[float(v) for v in line.split(",")] for line in vel_lines[1:]])
+        report = [line.split(",") for line in rep_lines[1:]]
+        assert velocities[:, 0].tolist() == [int(cells[0]) for cells in report] == list(range(len(particles)))
+        assert velocities[:, 1:3].tobytes() == positions.tobytes()
+        assert velocities[:, 3:5].tobytes() == fmm.tobytes()
+        assert velocities[:, 5:7].tobytes() == direct.tobytes()
+        assert np.array([[float(cells[1]), float(cells[2])] for cells in report]).tobytes() == positions.tobytes()
+        # the budget column carries 10 significant digits: the text is the budget's, digit for digit
+        assert [cells[5] for cells in report] == [format(b, ".10g") for b in budgets]
+
+    @pytest.mark.parametrize("token", ["gaussian_blob", "blob"])
+    def test_unknown_kernel_token_is_a_value_error_and_writes_nothing(self, tmp_path, token):
+        with pytest.raises(ValueError, match="expected point or gaussian"):
+            run_single(tmp_path / "out", n=50, levels=2, p=4, kernel=token)
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError, match="expected point or gaussian"):
+            harness._ParticleSet.generated("uniform_random", 50, 1, token, DEFAULT_SIGMA, None)
+
+    @pytest.mark.parametrize("bad", [{"map_grid": 0}, {"levels": 1}, {"p": 61}, {"kernel": "blob"}])
+    def test_bad_input_fails_before_any_particle_or_oracle_call(self, tmp_path, monkeypatch, bad):
+        calls = collections.Counter()
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return call
+
+        for name in ("velocity_direct", "generate_particles"):
+            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+        with pytest.raises(ValueError):
+            run_single(tmp_path / "out", **{"n": 500, "levels": 3, "p": 8, **bad})
+        assert calls == {}
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTiming:
