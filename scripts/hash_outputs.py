@@ -14,7 +14,9 @@ their output.  Each line is a name and the first 16 hex digits of a SHA-256:
   (64 per leaf) every near-field leaf is dense enough to be computed as one
   targets x sources block;
 - ``evaluate_at`` on perfbench's field_probe grid (4096 sources, depth 6,
-  order 40, 128 x 128 cell-centred targets);
+  order 40, 128 x 128 cell-centred targets), where every cell holds a
+  target, and on the grid's lower-left 32 x 32 targets alone, where about
+  94% of the leaves hold none, so M2L skips most cells;
 - the direct oracle ``velocity_direct`` at four shapes (``ORACLES``):
   field_probe's (4096 of its grid targets against its 4096 sources), 2000
   particles at themselves with the blob kernel, one target, and more targets
@@ -110,6 +112,8 @@ def main() -> int:
     gx, gy = np.meshgrid(axis, axis)
     targets = np.stack((gx.ravel(), gy.ravel()), axis=1)
     print(f"evaluate_at/field_probe {digest(evaluate_at(targets, particles, FmmConfig(6, 40)))}")
+    corner = targets.reshape(128, 128, 2)[:32, :32].reshape(-1, 2)
+    print(f"evaluate_at/field_probe_lower_left_32x32 {digest(evaluate_at(corner, particles, FmmConfig(6, 40)))}")
 
     for name, (where, n, kernel, sigma) in ORACLES.items():
         sources = generate_particles("uniform_random", n, SEED, sigma=sigma)

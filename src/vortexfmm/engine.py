@@ -5,7 +5,10 @@ Passes, in order:
 1. upward: particle-to-multipole at the leaves, then multipole shifts up to
    level 2 (levels 0 and 1 carry no expansions; their interaction lists are
    empty).
-2. translate: multipole-to-local across every cell's interaction list.
+2. translate: multipole-to-local across the interaction list of every live
+   cell, one that holds a target (for ``evaluate``, every nonempty cell).  A
+   live cell's parent is live, so the cells skipped never pass a local to a
+   target; their rows are zero.
 3. downward: local shifts from parents, completing each leaf's local
    expansion with the far field of everything outside its neighbor ring.
 4. evaluation: local expansions at the targets plus direct summation over the
@@ -25,9 +28,11 @@ The pipeline runs in two stages, split where the order enters.
 ``_tree_work`` does what depends only on the particles, targets and depth:
 the tree, the leaf-sorted arrays, the sigma guard and the near field.
 ``_order_run`` does the rest at one order: the three passes and the far
-field.  ``evaluate`` runs both with the particles themselves as targets,
-``evaluate_at`` at arbitrary targets binned into leaves, and a sweep runs
-the first stage once for all the orders of a tree.  ``FmmConfig`` checks its
+field.  The live cells' M2L rows depend only on the targets, so the first
+stage selects them (``_live_rows``), or none when every cell is live and the
+pass is the full one.  ``evaluate`` runs both with the particles themselves
+as targets, ``evaluate_at`` at arbitrary targets binned into leaves, and a
+sweep runs the first stage once for all the orders of a tree.  ``FmmConfig`` checks its
 fields when built.  The first stage rejects a domain side outside
 ``kernels._SCALE_WINDOW``, where float64 cannot square the near field's
 separations, and blob cores whose 2 sigma^2 underflows; the second raises
@@ -59,12 +64,14 @@ time, and when two or more are full (``_CHUNK_BYTES`` each) so does a pool of
 one thread per core the process may use besides the caller's, made on first
 use; smaller passes run on the calling thread alone.  Each chunk assigns rows
 no other chunk writes, so the output does not depend on the
-number of workers or on which thread ran which chunk, only on the BLAS
-library and its thread count per product.  The pass is fastest with one BLAS
-thread per product.  At 4096 particles, depth 6, order 40 (field_probe's
-shape) on a 2-vCPU Xeon VM, M2L took 78-89 ms serial and 45-48 ms on two
-threads with one BLAS thread; with unpinned OpenBLAS (two threads per
-product) it took 58-65 ms serial and 66-74 ms on two threads.
+number of workers, on which thread ran which chunk or on which cells are
+live, only on the BLAS library and its thread count per product (a lone row
+is multiplied as two, since numpy computes a one-row product otherwise).
+The pass is fastest with one BLAS thread per product, where the chunk
+threads scale with the cores; with more, the products' own threads compete
+with them.  ``scripts/bench.py`` measures it at field_probe's shape
+(``t_m2l``); ``BENCH_m2l_pool.json`` holds the serial and pooled passes
+side by side.
 
 ``quadtree._quadrants`` alone maps parents to children: a level's four child
 quadrants are writable views shaped like its parent level.  M2M sums one
@@ -119,7 +126,14 @@ class FmmConfig:
 
 @dataclass
 class FmmRunStats:
-    """Phase timings (seconds) and exact operation counters for one run."""
+    """Phase timings (seconds) and exact operation counters for one run.
+
+    The counters describe evaluating every particle, whichever targets the
+    run evaluated at: ``m2l_count`` is the number of translations from
+    nonempty sources into every cell, ``near_pair_count`` the number of
+    ordered near-field pairs of every particle, never with itself.  The
+    timings are the run's own, at its targets.
+    """
 
     n: int
     levels: int
@@ -247,10 +261,17 @@ def upward_pass(tree: Tree, z_sorted: np.ndarray, gamma_sorted: np.ndarray, orde
     return mult
 
 
-def translate_pass(tree: Tree, multipoles: list, order: int) -> tuple[list, int]:
+def translate_pass(tree: Tree, multipoles: list, order: int, targets: Tree | None = None,
+                   _live: tuple | None = None) -> tuple[list, int]:
     """Per-level local expansions (levels 2..leaf, in cell-side units) from
     every cell's interaction list, and the number of translations from
-    nonempty sources (empty ones add zero).
+    nonempty sources (empty ones add zero) into every cell.
+
+    Given a ``targets`` tree, only its live cells, those holding a target,
+    get their locals; every other row is zero.  A live cell's parent is live,
+    so a live leaf's completed local is the full pass's.  ``_live`` is
+    ``_live_rows(targets)`` already computed (a sweep keeps it for each
+    depth).  When every cell is live, the pass is the full one.
 
     ``multipoles`` are views of ``upward_pass``'s array; the locals are views
     of one laid out alike.  Per parity class, one row per cell of every level
@@ -264,19 +285,37 @@ def translate_pass(tree: Tree, multipoles: list, order: int) -> tuple[list, int]
     _, m2l, _ = _translations(p)
     rows = max(1, _CHUNK_BYTES // (27 * (p + 1) * 16))
     mult = multipoles[levels].base
-    loc = np.empty((len(mult) - 1, p + 1), dtype=np.complex128)
+    live = _live_rows(targets) if _live is None and targets is not None else _live
+    # rows no chunk assigns are zero, so that L2L multiplies no uninitialised memory
+    loc = (np.empty if live is None else np.zeros)((len(mult) - 1, p + 1), dtype=np.complex128)
     occupied = np.concatenate([*tree.counts[2:], [0]]) > 0
     count, chunks = 0, []
-    for (dest, src), stacked in zip(_pass_stencil(levels), m2l):
+    for (_, src), (dest, ids), stacked in zip(_pass_stencil(levels), live or _pass_stencil(levels), m2l):
         count += int(np.count_nonzero(occupied[src]))
-        chunks += [(mult, src[a:a + rows], stacked, loc, dest[a:a + rows]) for a in range(0, len(dest), rows)]
+        chunks += [(mult, ids[a:a + rows], stacked, loc, dest[a:a + rows]) for a in range(0, len(dest), rows)]
     _run_chunks(chunks)
     return _level_views(loc, levels), count
 
 
+def _live_rows(targets: Tree) -> tuple | None:
+    """Per ``_pass_stencil`` class, its ``(dest, src)`` rows of the live cells:
+    the cells of every level that hold a target of ``targets``.  ``None``
+    when every cell is live."""
+    live = np.concatenate(targets.counts[2:]) > 0
+    if live.all():
+        return None
+    return tuple((dest[keep], src[keep]) for dest, src in _pass_stencil(targets.levels) for keep in (live[dest],))
+
+
 def _translate_chunk(mult: np.ndarray, ids: np.ndarray, stacked: np.ndarray, loc: np.ndarray, dest: np.ndarray):
-    """Assign ``loc[dest]`` the M2L product of the sources ``ids`` (rows of a stencil)."""
-    loc[dest] = np.take(mult, ids, axis=0).reshape(len(ids), -1) @ stacked
+    """Assign ``loc[dest]`` the M2L product of the sources ``ids`` (rows of a stencil).
+
+    A lone row is multiplied twice over: numpy hands a one-row product to
+    gemv, which orders its sums otherwise than gemm, so this keeps a row's
+    bits those of a matrix product whichever chunk it falls in, pruned or not.
+    """
+    gathered = np.take(mult, ids if len(ids) > 1 else np.repeat(ids, 2, axis=0), axis=0)
+    loc[dest] = (gathered.reshape(len(gathered), -1) @ stacked)[:len(ids)]
 
 
 _pool: ThreadPoolExecutor | None = None
@@ -404,17 +443,7 @@ def near_field(
     """
     if targets is None:
         targets, zt_sorted = tree, z_sorted
-    m = 2**tree.levels
-    leaves = np.flatnonzero(targets.nonempty(tree.levels))
-    per_leaf = targets.counts[tree.levels][leaves]
-    cy, cx = np.divmod(leaves, m)
-    ny = cy[:, None] + np.arange(-1, 2)
-    row = np.clip(ny, 0, m - 1) * m
-    starts = tree.leaf_starts[row + np.maximum(cx - 1, 0)[:, None]]
-    ends = tree.leaf_starts[row + np.minimum(cx + 1, m - 1)[:, None] + 1]
-    lengths = np.where((ny >= 0) & (ny < m), ends - starts, 0)
-    sizes = lengths.sum(axis=1)
-    pairs = int(per_leaf @ sizes) - (len(z_sorted) if targets is tree else 0)
+    leaves, per_leaf, starts, lengths, sizes, pairs = _neighbourhoods(tree, targets)
     dense = per_leaf * sizes >= _BLOCK
 
     # every target of the other leaves, leaf by leaf in ascending source
@@ -474,6 +503,26 @@ def near_field(
     vel[target, 0] = u
     vel[target, 1] = v
     return vel, pairs
+
+
+def _neighbourhoods(tree: Tree, targets: Tree) -> tuple:
+    """The near field's neighbourhoods: per nonempty leaf of ``targets``, the
+    leaf, its target count, the starts and lengths of the three slices of the
+    sorted particles that its neighbourhood rows y-1, y, y+1 cover (length 0
+    outside the domain) and its source count, their total; then the number
+    of ordered pairs, in which a particle is never its own pair."""
+    m = 2**tree.levels
+    leaves = np.flatnonzero(targets.nonempty(tree.levels))
+    per_leaf = targets.counts[tree.levels][leaves]
+    cy, cx = np.divmod(leaves, m)
+    ny = cy[:, None] + np.arange(-1, 2)
+    row = np.clip(ny, 0, m - 1) * m
+    starts = tree.leaf_starts[row + np.maximum(cx - 1, 0)[:, None]]
+    ends = tree.leaf_starts[row + np.minimum(cx + 1, m - 1)[:, None] + 1]
+    lengths = np.where((ny >= 0) & (ny < m), ends - starts, 0)
+    sizes = lengths.sum(axis=1)
+    pairs = int(per_leaf @ sizes) - (len(tree.order) if targets is tree else 0)
+    return leaves, per_leaf, starts, lengths, sizes, pairs
 
 
 @functools.lru_cache(maxsize=256)
@@ -545,14 +594,17 @@ def bound_budgets(tree: Tree, gamma: np.ndarray, order: int, _gathered: np.ndarr
 
 class _TreeWork(NamedTuple):
     """``_tree_work``'s result: the particle tree, sorted positions and
-    circulations, the target tree and sorted targets, the sigma guard's verdict,
-    the read-only sorted near field, its pair count, build and near seconds."""
+    circulations, the target tree and sorted targets, its live M2L rows
+    (``_live_rows``), the sigma guard's verdict, the read-only sorted near
+    field, the pair count of evaluating every particle, build and near
+    seconds."""
 
     tree: Tree
     z_sorted: np.ndarray
     gamma_sorted: np.ndarray
     at: Tree
     zt_sorted: np.ndarray
+    live: tuple | None
     sigma_guard_ok: bool
     near_vel: np.ndarray
     near_pairs: int
@@ -580,6 +632,7 @@ def _tree_work(particles: Particles | Sequence[Particle], levels: int, kernel: K
     else:
         at = _leaf_tree(targets[:, 0], targets[:, 1], levels, domain, "target")
         zt_sorted = (targets[:, 0] + 1j * targets[:, 1])[at.order]
+    live = _live_rows(at)
     t_build = time.perf_counter() - t0
 
     guard = tree.half_width(levels) / 2.0
@@ -594,8 +647,11 @@ def _tree_work(particles: Particles | Sequence[Particle], levels: int, kernel: K
     t0 = time.perf_counter()
     near_vel, pairs = near_field(tree, z_sorted, gamma_sorted, particles.sigma[tree.order], kernel, at, zt_sorted)
     near_vel.setflags(write=False)
-    return _TreeWork(tree, z_sorted, gamma_sorted, at, zt_sorted, max_sigma <= guard, near_vel, pairs, t_build,
-                     time.perf_counter() - t0)
+    t_near = time.perf_counter() - t0
+    if at is not tree:  # the counter is that of evaluating every particle (see FmmRunStats)
+        pairs = _neighbourhoods(tree, tree)[-1]
+    return _TreeWork(tree, z_sorted, gamma_sorted, at, zt_sorted, live, max_sigma <= guard, near_vel, pairs, t_build,
+                     t_near)
 
 
 def _order_run(work: _TreeWork, order: int) -> tuple[np.ndarray, FmmRunStats]:
@@ -610,7 +666,7 @@ def _order_run(work: _TreeWork, order: int) -> tuple[np.ndarray, FmmRunStats]:
     marks = [time.perf_counter()]
     multipoles = upward_pass(tree, work.z_sorted, work.gamma_sorted, order)
     marks.append(time.perf_counter())
-    locals_, stats.m2l_count = translate_pass(tree, multipoles, order)
+    locals_, stats.m2l_count = translate_pass(tree, multipoles, order, _live=work.live)
     marks.append(time.perf_counter())
     downward_pass(tree, locals_)
     marks.append(time.perf_counter())

@@ -5,7 +5,8 @@ a parameter grid against the direct oracle, appending one CSV row per run as
 it goes (crash-resumable), with metric columns that are a pure function of
 the config file at a fixed BLAS thread count.  Oracle cost is controllable:
 ``sampled(k)`` evaluates the O(N^2) reference on k targets, seeded by
-(N, seed) and shared by every run of that pair, instead of all N.  Every
+(N, seed) and shared by every run of that pair, instead of all N, and each
+run evaluates the FMM at those k targets alone.  Every
 run, a sweep row, a single run or a standalone ``run_case``, goes through
 one private ``_ParticleSet``: the particles, their oracle and the work that
 runs of one depth share.
@@ -203,11 +204,14 @@ class _ParticleSet:
     ``[seed, n, 0x0F5EED]`` when that is fewer than n (``sampled`` is then
     ``oracle_k``), otherwise all n (``sampled`` 0).  The set makes the one
     ``velocity_direct`` call on them and keeps its values and its time,
-    which every run reports as its oracle cost.  The runs of one depth share
-    the order-independent work, ``engine._tree_work``, and the bound
+    which every run reports as its oracle cost.  A sampling set's runs
+    evaluate the FMM at its sample alone: the near field, the far field and
+    M2L into the cells that hold a sampled target.  The runs of one depth
+    share the order-independent work, ``engine._tree_work``, and the bound
     budgets' amplitudes, ``engine._budget_gather``, both recomputed when the
     depth changes.  Either is exact: results are bit for bit a standalone
-    run's.
+    run's, and a sampled target's velocity is bit for bit its velocity in an
+    evaluation of every particle at one BLAS thread.
     """
 
     def __init__(
@@ -239,14 +243,21 @@ class _ParticleSet:
     def at_depth(self, levels: int) -> tuple[engine._TreeWork, np.ndarray]:
         """The order-independent work and the budget amplitudes at depth ``levels``."""
         if self.work is None or self.work.tree.levels != levels:
-            self.work = engine._tree_work(self.particles, levels, self.kind, self.domain)
+            # a sampled oracle scores its sample alone, so the runs evaluate there alone
+            targets = self.targets if self.sampled else None
+            self.work = engine._tree_work(self.particles, levels, self.kind, self.domain, targets)
             self.gathered = engine._budget_gather(self.work.tree, self.work.gamma_sorted)
         return self.work, self.gathered
 
 
 @dataclass
 class CaseResult:
-    """What one (levels, p) run on a particle set computed; the rest is the set's."""
+    """What one (levels, p) run on a particle set computed; the rest is the set's.
+
+    ``velocities`` are the set's oracle targets' rows, in sample order: the k
+    sampled particles' when the set samples, otherwise every particle's.  The
+    counters describe evaluating every particle (see ``FmmRunStats``).
+    """
 
     particle_set: _ParticleSet
     levels: int
@@ -282,14 +293,14 @@ class CaseResult:
 
 
 def run_case(particle_set: _ParticleSet, levels: int, p: int) -> CaseResult:
-    """Run the fast evaluation at depth ``levels`` and order ``p`` on a particle set, and
-    score it against the set's oracle sample and the run's truncation budgets."""
+    """Run the fast evaluation at depth ``levels`` and order ``p`` at a particle set's oracle
+    targets, and score it against the set's oracle and the run's truncation budgets."""
     config = FmmConfig(levels, p, particle_set.kind)
     work, gathered = particle_set.at_depth(config.levels)
     velocities, stats = engine._order_run(work, config.order)
     budgets = bound_budgets(work.tree, particle_set.particles.gamma, config.order, _gathered=gathered)
     sample = particle_set.sample
-    report = errorlab.compare(velocities[sample], particle_set.direct, particle_set.targets, budgets[sample])
+    report = errorlab.compare(velocities, particle_set.direct, particle_set.targets, budgets[sample])
     violations = len(errorlab.bound_check(report))
     return CaseResult(
         particle_set=particle_set,
@@ -358,13 +369,11 @@ def run_single(
     given it overrides the generator and the domain becomes the particles'
     enclosing square.  The map grid, depth, order and kernel are checked
     first: a bad one fails before any particle is made, any file is written
-    or the oracle runs.
+    or the oracle runs.  ``out_dir`` is made only once the run has succeeded,
+    so a bad particle file or a failed run leaves nothing behind.
     """
     errorlab._check_grid(map_grid)
     FmmConfig(levels, p, _kernel_kind(kernel))
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if particles_path is not None:
         particles = read_particles(particles_path)
         if not particles:
@@ -376,6 +385,8 @@ def run_single(
     case = run_case(particle_set, levels, p)
     emap = errorlab.spatial_map(case.report, particle_set.domain, map_grid)
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     vel_path = out_dir / "velocities.csv"
     rep_path = out_dir / "error_report.csv"
     map_path = out_dir / "error_map.csv"
@@ -450,11 +461,13 @@ def run_sweep(
 
     Tuples run in n, l, p, seed order.  Each (n, seed)'s particles are
     generated once into a ``_ParticleSet``, with one oracle call on its one
-    sample; its rows score that sample and share, per depth l, the
-    order-independent work: the first row of each (n, l, seed) computes it
-    and its other orders reuse it.  Every row reports the one oracle call's
-    time as ``t_direct_ms``, and its ``t_fmm_ms`` still reads as a standalone
-    run's cost, the recorded build and near-field time included.  The sets
+    sample; its rows evaluate the FMM at that sample alone, score it and
+    share, per depth l, the order-independent work: the first row of each
+    (n, l, seed) computes it and its other orders reuse it.  Every row
+    reports the one oracle call's time as ``t_direct_ms``, and its
+    ``t_fmm_ms`` reads as the cost of a standalone run at the same targets,
+    the recorded build and near-field time included.  ``m2l_count`` and
+    ``near_pair_count`` count the work of evaluating every particle.  The sets
     are dropped when n changes.  ``progress`` receives one line per computed
     row.
     """

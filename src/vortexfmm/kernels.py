@@ -32,8 +32,8 @@ TWO_PI = 2.0 * math.pi
 _BLOCK = 2**13
 #: Target-source pairs per block of the oracle :func:`velocity_direct`, whose
 #: blocks carry more Python work each (their sums go through
-#: :func:`_add_rows`).  A 4096 x 4096 oracle took 103 ms at 2^14 against
-#: 131 ms at 2^13 (one BLAS thread); the near field moved less than 10%.
+#: :func:`_add_rows`), so it takes twice the near field's block; the A/B that
+#: chose it is recorded with ``BENCH_oracle_scratch.json`` in CHANGES.md.
 _ORACLE_BLOCK = 2**14
 #: The spans of points whose pairs float64 can square: from the smallest side whose square is
 #: normal to the largest whose diagonal's 2 pi r^2 stays finite (about 1.5e-154 to 3.8e153).

@@ -525,6 +525,67 @@ class TestTranslatePass:
         """, OPENBLAS_NUM_THREADS="1")
         assert stdout == "done\n"
 
+    def test_one_blas_thread_target_tree_keeps_every_live_local(self):
+        # the cells that hold a target get the full pass's locals, bit for bit,
+        # before and after L2L; every other row is zero, and the count is the
+        # full pass's
+        stdout = run_isolated("""
+            import numpy as np
+            from test_engine import sorted_arrays
+            from vortexfmm import engine
+            from vortexfmm.model import UNIT_DOMAIN, generate_particles
+            from vortexfmm.quadtree import _leaf_tree, build_tree
+            rng = np.random.default_rng(11)
+            for distribution in ("uniform_random", "gaussian_patch"):
+                particles = generate_particles(distribution, 3000, 7)
+                sample = rng.choice(3000, 40, replace=False)
+                at = {"sample": np.stack((particles.x, particles.y), axis=1)[sample],
+                      "corner": 0.2 * rng.uniform(size=(500, 2)), "none": np.zeros((0, 2))}
+                # (4, 28): the full pass ends a class on a one-row chunk
+                for levels, p in ((2, 4), (3, 60), (4, 28), (5, 17), (6, 40)):
+                    tree = build_tree(particles, levels, UNIT_DOMAIN)
+                    z, g, _ = sorted_arrays(particles, tree)
+                    mult = engine.upward_pass(tree, z, g, p)
+                    full, count = engine.translate_pass(tree, mult, p)
+                    completed = engine.downward_pass(tree, engine.translate_pass(tree, mult, p)[0])
+                    for name, pts in at.items():
+                        targets = _leaf_tree(pts[:, 0], pts[:, 1], levels, UNIT_DOMAIN, "target")
+                        got, got_count = engine.translate_pass(tree, mult, p, targets)
+                        ok = got_count == count
+                        for level in range(2, levels + 1):
+                            live = targets.nonempty(level)
+                            ok &= got[level][live].tobytes() == full[level][live].tobytes()
+                            ok &= not got[level][~live].any()
+                        live = targets.nonempty(levels)
+                        ok &= engine.downward_pass(tree, got)[levels][live].tobytes() == completed[levels][live].tobytes()
+                        if not ok:
+                            print(distribution, levels, p, name)
+            print("done")
+        """, OPENBLAS_NUM_THREADS="1")
+        assert stdout == "done\n"
+
+    def test_every_cell_live_runs_the_full_pass(self, monkeypatch):
+        # field_probe's grid: a target in every leaf, so nothing is pruned or zero-filled
+        axis = (np.arange(16) + 0.5) / 16
+        gx, gy = np.meshgrid(axis, axis)
+        targets = build_tree(Particles(gx.ravel(), gy.ravel(), np.ones(256), np.full(256, 0.001)), 4, UNIT)
+        assert engine._live_rows(targets) is None
+        particles = generate_particles("uniform_random", 500, 2)
+        tree = build_tree(particles, 4, UNIT)
+        z, g, _ = sorted_arrays(particles, tree)
+        mult = upward_pass(tree, z, g, 9)
+        dests = []
+        chunk = engine._translate_chunk
+
+        def recording(*args):
+            dests.append(args[-1])
+            return chunk(*args)
+
+        monkeypatch.setattr(engine, "_translate_chunk", recording)
+        locals_, _ = translate_pass(tree, mult, 9, targets)
+        assert np.array_equal(np.sort(np.concatenate(dests)), np.arange(engine._level_start(5)))
+        assert locals_[4].tobytes() == translate_pass(tree, mult, 9)[0][4].tobytes()
+
     def test_each_translation_matrix_built_once_per_order(self, monkeypatch):
         build = expansions.m2l_matrix
         built = []
@@ -890,6 +951,32 @@ class TestEvaluateAt:
             vel_particles, _ = evaluate(particles, config, UNIT)
             vel_targets = evaluate_at(positions_of(particles), particles, config, UNIT)
             assert np.array_equal(vel_targets, vel_particles), kind
+
+    def test_one_blas_thread_subset_of_targets_gives_the_full_calls_rows(self):
+        # M2L fills only the cells that hold a target, and the near and far
+        # fields read each target on its own: a subset's rows are the full call's
+        stdout = run_isolated("""
+            import numpy as np
+            from vortexfmm import engine
+            from vortexfmm.kernels import KernelKind
+            from vortexfmm.model import UNIT_DOMAIN, generate_particles
+            axis = (np.arange(64) + 0.5) / 64
+            grid = np.stack([a.ravel() for a in np.meshgrid(axis, axis)], axis=1)
+            subsets = {"random": np.sort(np.random.default_rng(5).choice(len(grid), 100, replace=False)),
+                       "lower_left": np.flatnonzero((grid < 0.25).all(axis=1)), "one": [2080]}
+            for distribution in ("uniform_random", "gaussian_patch"):
+                particles = generate_particles(distribution, 2000, 4, sigma=0.001)
+                for kind in KernelKind:
+                    for levels, p in ((3, 8), (5, 40), (6, 12)):
+                        config = engine.FmmConfig(levels, p, kind)
+                        full = engine.evaluate_at(grid, particles, config, UNIT_DOMAIN)
+                        for name, subset in subsets.items():
+                            got = engine.evaluate_at(grid[subset], particles, config, UNIT_DOMAIN)
+                            if got.tobytes() != full[subset].tobytes():
+                                print(distribution, kind, levels, p, name)
+            print("done")
+        """, OPENBLAS_NUM_THREADS="1")
+        assert stdout == "done\n"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_targets_as_velocity_direct_does(self, bad):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_engine import run_isolated
 from vortexfmm import cli, engine, errors, harness
 from vortexfmm.engine import FmmConfig, bound_budgets, evaluate
 from vortexfmm.harness import (
@@ -32,7 +33,7 @@ from vortexfmm.model import (
     read_particles,
     write_particles,
 )
-from vortexfmm.quadtree import build_tree
+from vortexfmm.quadtree import build_tree, grid_indices
 
 SMALL_CFG = """
 # comment lines and blanks are fine
@@ -497,6 +498,70 @@ class TestSweepTreeWork:
             assert float(cells[11]) >= float(format(t_near * 1e3, ".3f"))
 
 
+class TestSampledRows:
+    """A sampled row evaluates the FMM at its oracle sample alone; its metric columns are unchanged."""
+
+    def test_one_blas_thread_sampled_rows_are_the_full_evaluation_at_the_sample(self):
+        stdout = run_isolated("""
+            from vortexfmm import engine, harness
+            from vortexfmm.model import DEFAULT_SIGMA, UNIT_DOMAIN
+            for kernel in ("point", "gaussian"):
+                for distribution in ("uniform_random", "gaussian_patch"):
+                    particle_set = harness._ParticleSet.generated(distribution, 1500, 3, kernel, DEFAULT_SIGMA, 97)
+                    for levels in (2, 3, 4, 5):
+                        for p in (0, 12, 40):
+                            case = harness.run_case(particle_set, levels, p)
+                            want, stats = engine.evaluate(particle_set.particles,
+                                                          engine.FmmConfig(levels, p, particle_set.kind), UNIT_DOMAIN)
+                            if (case.velocities.tobytes() != want[particle_set.sample].tobytes()
+                                    or (case.m2l_count, case.near_pair_count) != (stats.m2l_count, stats.near_pair_count)):
+                                print(kernel, distribution, levels, p)
+            print("done")
+        """, OPENBLAS_NUM_THREADS="1")
+        assert stdout == "done\n"
+
+    @pytest.mark.parametrize("oracle_k", [30, None])
+    def test_near_and_far_field_see_only_the_scored_targets(self, tmp_path, monkeypatch, oracle_k):
+        config = SweepConfig((100, 160), (2, 3), (2, 4), (1, 2), oracle_k=oracle_k)
+        near, far = [], []
+        near_field, far_field = engine.near_field, engine.far_field
+
+        def counted_near(tree, z_sorted, *args):
+            near.append((len(z_sorted), tree.levels, len(args[-1])))
+            return near_field(tree, z_sorted, *args)
+
+        def counted_far(tree, locals_, z_sorted):
+            far.append((tree.levels, len(z_sorted)))
+            return far_field(tree, locals_, z_sorted)
+
+        monkeypatch.setattr(engine, "near_field", counted_near)
+        monkeypatch.setattr(engine, "far_field", counted_far)
+        run_sweep(config, tmp_path / "rows.csv")
+        groups = dict.fromkeys((n, lev, seed) for n, lev, _, seed in config.tuples())
+        assert near == [(n, lev, oracle_k or n) for n, lev, _ in groups]
+        assert far == [(lev, oracle_k or n) for n, lev, _, _ in config.tuples()]
+
+    def test_m2l_of_a_sampled_depth_5_row_fills_only_the_cells_of_its_sample(self, monkeypatch):
+        particle_set = harness._ParticleSet.generated("uniform_random", 4096, 1, "point", DEFAULT_SIGMA, 200)
+        dests = []
+        chunk = engine._translate_chunk
+
+        def recording(mult, ids, stacked, loc, dest):
+            dests.append(dest.copy())
+            return chunk(mult, ids, stacked, loc, dest)
+
+        monkeypatch.setattr(engine, "_translate_chunk", recording)
+        case = run_case(particle_set, 5, 8)
+        x, y = particle_set.targets.T
+        live = [engine._level_start(level) + np.unique(iy * 2**level + ix)
+                for level in range(2, 6) for ix, iy in [grid_indices(x, y, 2**level, UNIT_DOMAIN)]]
+        assert np.sort(np.concatenate(dests)).tolist() == np.concatenate(live).tolist()
+        assert len(np.concatenate(live)) < 0.4 * engine._level_start(6)
+        assert len(case.velocities) == 200
+        # the count is still that of translations into every cell
+        assert case.m2l_count == evaluate(particle_set.particles, FmmConfig(5, 8), UNIT_DOMAIN)[1].m2l_count
+
+
 class TestRunSingle:
     def test_writes_three_files(self, tmp_path):
         summary = run_single(tmp_path, n=120, levels=2, p=6, seed=1)
@@ -578,6 +643,13 @@ class TestRunSingle:
             run_single(tmp_path / "out", **{"n": 500, "levels": 3, "p": 8, **bad})
         assert calls == {}
         assert list(tmp_path.iterdir()) == []
+
+    def test_malformed_particle_file_fails_before_the_output_directory_is_made(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("x,y,gamma,sigma\n0.1,0.2,nan,0.01\n0.5,0.5,0.3,0.01\n")
+        with pytest.raises(ValueError, match=":2:"):
+            run_single(tmp_path / "out", levels=2, p=4, particles_path=path)
+        assert not (tmp_path / "out").exists()
 
 
 class TestTiming:
