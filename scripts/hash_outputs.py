@@ -23,7 +23,12 @@ their output.  Each line is a name and the first 16 hex digits of a SHA-256:
   than one block of pairs holds (so one source per block);
 - the metric columns (all but ``t_fmm_ms`` and ``t_direct_ms``) of the
   seed-1 and seed-2 ``study.cfg`` sweeps, and of the seed-1 sweep cut inside
-  its first (n, l, seed) group, a torn row included, then resumed;
+  its first (n, l, seed) group, a torn row included, then resumed, all
+  sampled(200); and of a sweep with ``oracle = always`` (``ALWAYS``: 256
+  particles, depths 3 and 4, orders 2, 9 and 20, seed 1), where every
+  particle is a target, every nonempty cell is live in M2L and in the
+  budgets, and the orders below 20 take a prefix of the leaf multipoles held
+  at 20;
 - the three files ``run_single`` writes (``velocities.csv``,
   ``error_report.csv``, ``error_map.csv``) for three inputs
   (``SINGLE_RUNS``): a generated point-vortex run, a blob run on
@@ -70,6 +75,8 @@ SINGLE_RUNS = {
     },
     "run_single/800_d4_p10_point_file_offset_domain": {"n": 800, "levels": 4, "p": 10, "domain": (-2.0, -1.0, 3.0)},
 }
+#: the oracle = always sweep: n, levels, orders and seeds
+ALWAYS = {"n_values": (256,), "l_values": (3, 4), "p_values": (2, 9, 20), "seeds": (1,), "oracle_k": None}
 SEED = 1
 #: sweep rows kept before the torn row when the cut sweep is resumed
 CUT_ROWS = 4
@@ -135,6 +142,8 @@ def main() -> int:
         cut.write_text("".join(lines[:1 + CUT_ROWS]) + lines[1 + CUT_ROWS][:20])
         harness.run_sweep(dataclasses.replace(study, seeds=(1,)), cut, resume=True)
         print(f"sweep/study_seed1_resumed {digest(metric_columns(cut))}")
+        out, _ = harness.run_sweep(dataclasses.replace(study, **ALWAYS), Path(tmp) / "always.csv")
+        print(f"sweep/oracle_always_256 {digest(metric_columns(out))}")
 
         for name, kwargs in SINGLE_RUNS.items():
             kwargs = dict(kwargs)

@@ -26,14 +26,17 @@ Passes, in order:
 
 The pipeline runs in two stages, split where the order enters.
 ``_tree_work`` does what depends only on the particles, targets and depth:
-the tree, the leaf-sorted arrays, the sigma guard and the near field.
-``_order_run`` does the rest at one order: the three passes and the far
-field.  The live cells' M2L rows depend only on the targets, so the first
-stage selects them (``_live_rows``), or none when every cell is live and the
-pass is the full one.  ``evaluate`` runs both with the particles themselves
-as targets, ``evaluate_at`` at arbitrary targets binned into leaves, and a
-sweep runs the first stage once for all the orders of a tree.  ``FmmConfig`` checks its
-fields when built.  The first stage rejects a domain side outside
+the tree, the leaf-sorted arrays, the live cells' M2L rows
+(``_live_rows``, or none when every cell is live and the pass is the full
+one), the M2L count, the targets' offsets from their leaf centers, the sigma
+guard and the near field; and P2M, at the largest order its caller will
+run, since a leaf's multipole at order p is the first p + 1 coefficients of
+any longer one.  ``_order_run`` does the rest at one order: M2M from that
+prefix, M2L, L2L and the far field.  ``evaluate`` runs both with the
+particles themselves as targets at its order, ``evaluate_at`` at arbitrary
+targets binned into leaves, and a sweep runs the first stage once for all
+the orders of a tree, at the largest.  ``FmmConfig`` checks its fields when
+built.  The first stage rejects a domain side outside
 ``kernels._SCALE_WINDOW``, where float64 cannot square the near field's
 separations, and blob cores whose 2 sigma^2 underflows; the second raises
 rather than return a velocity that is not finite.
@@ -54,10 +57,11 @@ each class over the levels, sources outside the domain at the zero row.  So
 M2L is one matrix product per class and pass (four, however deep) against
 the class's 27 matrices stacked, in chunks of at most ``_CHUNK_BYTES`` (1 MiB)
 of gathered coefficients, and the budgets gather their amplitudes once per
-tree on the same stencil.  The chunking is fixed, so runs are bitwise
-repeatable, but BLAS orders each cell's 27-term sum itself: last bits differ
-from a per-offset accumulation (within 1e-15 of the largest speed), and with
-more than one BLAS thread may move with a product's shape.
+tree on the same stencil, for the live cells only.  The chunking is fixed,
+so runs are bitwise repeatable, but BLAS orders each cell's 27-term sum
+itself: last bits differ from a per-offset accumulation (within 1e-15 of the
+largest speed), and with more than one BLAS thread may move with a
+product's shape.
 
 The chunks of a pass go in one list.  The calling thread takes them one at a
 time, and when two or more are full (``_CHUNK_BYTES`` each) so does a pool of
@@ -132,7 +136,10 @@ class FmmRunStats:
     run evaluated at: ``m2l_count`` is the number of translations from
     nonempty sources into every cell, ``near_pair_count`` the number of
     ordered near-field pairs of every particle, never with itself.  The
-    timings are the run's own, at its targets.
+    timings are the run's own, at its targets.  ``t_upward`` is P2M plus
+    M2M; when the first stage took P2M at a higher order (a sweep's largest),
+    its recorded time counts in ``t_upward`` and ``t_total``, as the build's
+    and the near field's count in theirs.
     """
 
     n: int
@@ -231,28 +238,54 @@ def _translations(p: int) -> tuple[tuple, tuple, tuple]:
     return m2m, m2l, l2l
 
 
-def upward_pass(tree: Tree, z_sorted: np.ndarray, gamma_sorted: np.ndarray, order: int) -> list:
-    """Multipole coefficients, in cell-side units, for every cell at levels
-    2..leaf, leaf upward.
+def _leaf_deltas(tree: Tree, z_sorted: np.ndarray) -> np.ndarray:
+    """Each of ``tree``'s leaf-sorted points minus its leaf's center, in leaf sides."""
+    return (z_sorted - tree.centers(tree.levels)[tree.sorted_leaf]) / tree.cell_side(tree.levels)
 
-    Returns a list indexed by level (``None`` below level 2) of views of one
-    pass array whose last row is zero.  Empty cells carry the zero expansion.
+
+def _leaf_multipoles(tree: Tree, z_sorted: np.ndarray, gamma_sorted: np.ndarray, order: int) -> np.ndarray:
+    """P2M: a pass array at order ``order`` (see ``upward_pass``) whose leaf
+    level holds each leaf's multipole; every other row is zero.
+
+    Column k depends on no higher power, and ``np.add.reduceat`` sums each
+    power's row on its own, so the first p + 1 columns are bit for bit those
+    of the array at order p (Greengard & Rokhlin 1987, section 2: a truncated
+    multipole is a prefix of a longer one).
     """
     levels, p = tree.levels, order
-    n = len(z_sorted)
-    side = tree.cell_side(levels)
-    delta = (z_sorted - tree.centers(levels)[tree.sorted_leaf]) / side
+    delta = _leaf_deltas(tree, z_sorted)
     # one contiguous row per power: row k is row k - 1 times delta
-    powers = np.empty((p + 1, n), dtype=np.complex128)
-    powers[0] = gamma_sorted / side
+    powers = np.empty((p + 1, len(z_sorted)), dtype=np.complex128)
+    powers[0] = gamma_sorted / tree.cell_side(levels)
     for k in range(1, p + 1):
         np.multiply(powers[k - 1], delta, out=powers[k])
     # reduceat over nonempty leaves only: their starts are strictly
     # increasing and the gaps of empty leaves have zero width, so consecutive
     # starts delimit exactly one leaf's particle block
-    mult = _level_views(np.zeros((_level_start(levels + 1) + 1, p + 1), dtype=np.complex128), levels)
+    store = np.zeros((_level_start(levels + 1) + 1, p + 1), dtype=np.complex128)
     occupied = np.flatnonzero(tree.nonempty(levels))
-    mult[levels][occupied] = np.add.reduceat(powers, tree.leaf_starts[occupied], axis=1).T
+    store[_level_start(levels):-1][occupied] = np.add.reduceat(powers, tree.leaf_starts[occupied], axis=1).T
+    return store
+
+
+def upward_pass(tree: Tree, z_sorted: np.ndarray, gamma_sorted: np.ndarray, order: int,
+                _leaves: np.ndarray | None = None) -> list:
+    """Multipole coefficients, in cell-side units, for every cell at levels
+    2..leaf, leaf upward.
+
+    Returns a list indexed by level (``None`` below level 2) of views of one
+    pass array whose last row is zero.  Empty cells carry the zero expansion.
+    ``_leaves`` is ``_leaf_multipoles``' array at an order of at least
+    ``order`` (the first stage keeps one per depth): at a lower order its
+    leaf level's first ``order`` + 1 columns are copied into a new pass
+    array, at its own order M2M completes it in place.
+    """
+    levels, p = tree.levels, order
+    store = _leaf_multipoles(tree, z_sorted, gamma_sorted, p) if _leaves is None else _leaves
+    if store.shape[1] > p + 1:
+        store = np.zeros((len(_leaves), p + 1), dtype=np.complex128)
+        store[_level_start(levels):-1] = _leaves[_level_start(levels):-1, :p + 1]
+    mult = _level_views(store, levels)
 
     m2m, _, _ = _translations(p)
     for level in range(levels, 2, -1):
@@ -262,7 +295,7 @@ def upward_pass(tree: Tree, z_sorted: np.ndarray, gamma_sorted: np.ndarray, orde
 
 
 def translate_pass(tree: Tree, multipoles: list, order: int, targets: Tree | None = None,
-                   _live: tuple | None = None) -> tuple[list, int]:
+                   _live: tuple | None = None, _count: int | None = None) -> tuple[list, int]:
     """Per-level local expansions (levels 2..leaf, in cell-side units) from
     every cell's interaction list, and the number of translations from
     nonempty sources (empty ones add zero) into every cell.
@@ -270,8 +303,9 @@ def translate_pass(tree: Tree, multipoles: list, order: int, targets: Tree | Non
     Given a ``targets`` tree, only its live cells, those holding a target,
     get their locals; every other row is zero.  A live cell's parent is live,
     so a live leaf's completed local is the full pass's.  ``_live`` is
-    ``_live_rows(targets)`` already computed (a sweep keeps it for each
-    depth).  When every cell is live, the pass is the full one.
+    ``_live_rows(targets)`` already computed and ``_count`` the count (the
+    first stage keeps both for each depth).  When every cell is live, the
+    pass is the full one.
 
     ``multipoles`` are views of ``upward_pass``'s array; the locals are views
     of one laid out alike.  Per parity class, one row per cell of every level
@@ -288,13 +322,16 @@ def translate_pass(tree: Tree, multipoles: list, order: int, targets: Tree | Non
     live = _live_rows(targets) if _live is None and targets is not None else _live
     # rows no chunk assigns are zero, so that L2L multiplies no uninitialised memory
     loc = (np.empty if live is None else np.zeros)((len(mult) - 1, p + 1), dtype=np.complex128)
-    occupied = np.concatenate([*tree.counts[2:], [0]]) > 0
-    count, chunks = 0, []
-    for (_, src), (dest, ids), stacked in zip(_pass_stencil(levels), live or _pass_stencil(levels), m2l):
-        count += int(np.count_nonzero(occupied[src]))
-        chunks += [(mult, ids[a:a + rows], stacked, loc, dest[a:a + rows]) for a in range(0, len(dest), rows)]
+    chunks = [(mult, ids[a:a + rows], stacked, loc, dest[a:a + rows])
+              for (dest, ids), stacked in zip(live or _pass_stencil(levels), m2l) for a in range(0, len(dest), rows)]
     _run_chunks(chunks)
-    return _level_views(loc, levels), count
+    return _level_views(loc, levels), _m2l_count(tree) if _count is None else _count
+
+
+def _m2l_count(tree: Tree) -> int:
+    """The number of M2L translations from nonempty sources into every cell of levels 2..leaf."""
+    occupied = np.concatenate([*tree.counts[2:], [0]]) > 0
+    return sum(int(np.count_nonzero(occupied[src])) for _, src in _pass_stencil(tree.levels))
 
 
 def _live_rows(targets: Tree) -> tuple | None:
@@ -387,14 +424,16 @@ def downward_pass(tree: Tree, locals_: list) -> list:
     return locals_
 
 
-def far_field(tree: Tree, locals_: list, z_sorted: np.ndarray) -> np.ndarray:
+def far_field(tree: Tree, locals_: list, z_sorted: np.ndarray, _delta: np.ndarray | None = None) -> np.ndarray:
     """Evaluate each target's leaf-local expansion, in cell-side units, at the
     target (f values).
 
     ``tree`` bins the leaf-sorted targets ``z_sorted`` (often the particles).
+    ``_delta`` is ``_leaf_deltas(tree, z_sorted)`` already computed (the
+    first stage keeps it for each depth).
     """
     leaf = tree.sorted_leaf
-    delta = (z_sorted - tree.centers(tree.levels)[leaf]) / tree.cell_side(tree.levels)
+    delta = _leaf_deltas(tree, z_sorted) if _delta is None else _delta
     # one contiguous row per coefficient, so each Horner step gathers one row
     columns = locals_[tree.levels].T.copy()
     acc = columns[-1][leaf]
@@ -541,22 +580,49 @@ def _budget_factors(side: float, radius: float, order: int) -> tuple[np.ndarray,
     return classes
 
 
-def _budget_gather(tree: Tree, gamma_sorted: np.ndarray) -> np.ndarray:
-    """``bound_budgets``' order-independent part: the read-only (27 x cells)
-    amplitudes (summed |Gamma|, zero outside the domain) of each cell's
-    sources, its columns the rows of the ``_pass_stencil`` classes in turn."""
+def _budget_gather(tree: Tree, gamma_sorted: np.ndarray, live: tuple | None = None) -> tuple:
+    """The budgets' order-independent part, for the live cells' columns only
+    (``_live_rows``' rows, or every cell's when ``live`` is ``None``): their
+    read-only (27 x columns) amplitudes (summed |Gamma|, zero outside the
+    domain) of each cell's sources, each column's ``_budget_factors`` index
+    (class times the number of levels, plus the level above 2) and its row
+    in a pass array."""
     levels = tree.levels
     amp = np.zeros(_level_start(levels + 1) + 1)
     by_level = _level_views(amp, levels)
     by_level[levels][:] = np.bincount(tree.sorted_leaf, np.abs(gamma_sorted), 4**levels)
     for level in range(levels, 2, -1):
         by_level[level - 1][:] = sum(_quadrants(by_level[level], level)).ravel()
-    gathered = np.ascontiguousarray(amp[np.concatenate([src for _, src in _pass_stencil(levels)])].T)
+    rows = live or _pass_stencil(levels)
+    dest = np.concatenate([d for d, _ in rows])
+    level = np.searchsorted([_level_start(level) for level in range(3, levels + 1)], dest, side="right")
+    factor = np.repeat(np.arange(4) * (levels - 1), [len(d) for d, _ in rows]) + level
+    gathered = np.ascontiguousarray(amp[np.concatenate([src for _, src in rows])].T)
     gathered.setflags(write=False)
-    return gathered
+    return gathered, factor, dest
 
 
-def bound_budgets(tree: Tree, gamma: np.ndarray, order: int, _gathered: np.ndarray | None = None) -> np.ndarray:
+def _budgets_at(tree: Tree, gathered: tuple, order: int, at: Tree) -> np.ndarray:
+    """``bound_budgets``' per-order part: the budgets at the targets of ``at``,
+    in their original order, from ``_budget_gather``'s result for ``tree``
+    and live cells that hold all of them."""
+    levels, (amp, factor, dest) = tree.levels, gathered
+    factors = [_budget_factors(tree.cell_side(level), SQRT2 * tree.half_width(level), order)
+               for level in range(2, levels + 1)]
+    per_column = np.stack([f[c] for c in range(4) for f in factors], axis=1)[:, factor]
+    # a cell that is not live reads zero, and so adds nothing to its children
+    budget = np.zeros(_level_start(levels + 1))
+    budget[dest] = functools.reduce(np.add, amp * per_column)
+    by_level = _level_views(budget, levels)
+    for level in range(3, levels + 1):
+        for q in _quadrants(by_level[level], level):
+            q += by_level[level - 1].reshape(q.shape)
+    out = np.empty(len(at.order))
+    out[at.order] = by_level[levels][at.sorted_leaf]
+    return out
+
+
+def bound_budgets(tree: Tree, gamma: np.ndarray, order: int) -> np.ndarray:
     """Per-particle truncation budget: the tail bound summed over every
     translation whose result that particle's leaf inherits.
 
@@ -569,53 +635,46 @@ def bound_budgets(tree: Tree, gamma: np.ndarray, order: int, _gathered: np.ndarr
     added one stencil offset at a time, in row-major order: the order of a
     per-offset loop, so bitwise its result.  Each level's totals are added
     down into its children through the ``_quadrants`` views.  The amplitudes
-    are ``_gathered``, ``_budget_gather``'s result for this tree and
-    ``gamma`` (a sweep keeps it for each depth), or gathered anew; the
-    per-offset factors come from ``_budget_factors``, cached by geometry and
-    order.
+    come from ``_budget_gather`` and the per-offset factors from
+    ``_budget_factors``, cached by geometry and order; a sweep keeps the
+    gather of its live cells for each depth and calls ``_budgets_at``, the
+    same sum over fewer cells, for each order.
     """
-    levels, p = tree.levels, order
-    amp = _budget_gather(tree, gamma[tree.order]) if _gathered is None else _gathered
-    factors = [_budget_factors(tree.cell_side(level), SQRT2 * tree.half_width(level), p)
-               for level in range(2, levels + 1)]
-    # the gather's columns run class by class, each level by level (4^(l-1) cells)
-    per_column = np.repeat(np.stack([f[c] for c in range(4) for f in factors], axis=1),
-                           [4**(level - 1) for _ in range(4) for level in range(2, levels + 1)], axis=1)
-    budget = np.empty(_level_start(levels + 1))
-    budget[np.concatenate([dest for dest, _ in _pass_stencil(levels)])] = functools.reduce(np.add, amp * per_column)
-    by_level = _level_views(budget, levels)
-    for level in range(3, levels + 1):
-        for q in _quadrants(by_level[level], level):
-            q += by_level[level - 1].reshape(q.shape)
-    out = np.empty(len(gamma))
-    out[tree.order] = by_level[levels][tree.sorted_leaf]
-    return out
+    return _budgets_at(tree, _budget_gather(tree, gamma[tree.order]), order, tree)
 
 
 class _TreeWork(NamedTuple):
     """``_tree_work``'s result: the particle tree, sorted positions and
-    circulations, the target tree and sorted targets, its live M2L rows
-    (``_live_rows``), the sigma guard's verdict, the read-only sorted near
-    field, the pair count of evaluating every particle, build and near
-    seconds."""
+    circulations, the target tree, sorted targets and their offsets from
+    their leaves' centers in leaf sides (``far_field``'s ``_delta``), its live
+    M2L rows (``_live_rows``), the count of translations into every cell, the
+    leaf multipoles (``_leaf_multipoles``, at the largest order the caller
+    will run), the sigma guard's verdict, the read-only sorted near field, the
+    pair count of evaluating every particle, build, near and P2M seconds."""
 
     tree: Tree
     z_sorted: np.ndarray
     gamma_sorted: np.ndarray
     at: Tree
     zt_sorted: np.ndarray
+    zt_delta: np.ndarray
     live: tuple | None
+    m2l_count: int
+    leaves: np.ndarray
     sigma_guard_ok: bool
     near_vel: np.ndarray
     near_pairs: int
     t_build: float
     t_near: float
+    t_p2m: float
 
 
 def _tree_work(particles: Particles | Sequence[Particle], levels: int, kernel: KernelKind,
-               domain: Domain | None, targets: np.ndarray | None = None) -> _TreeWork:
-    """The first stage: everything that does not depend on the order.  Targets
-    are the particles unless ``targets`` ((M, 2) positions) are given."""
+               domain: Domain | None, targets: np.ndarray | None = None, order: int = 0) -> _TreeWork:
+    """The first stage: everything that does not depend on the order, and the
+    leaf multipoles at ``order``, of which every lower order's are a prefix.
+    Targets are the particles unless ``targets`` ((M, 2) positions) are
+    given."""
     if not particles:
         raise ValueError("need at least one particle")
     t0 = time.perf_counter()
@@ -632,7 +691,7 @@ def _tree_work(particles: Particles | Sequence[Particle], levels: int, kernel: K
     else:
         at = _leaf_tree(targets[:, 0], targets[:, 1], levels, domain, "target")
         zt_sorted = (targets[:, 0] + 1j * targets[:, 1])[at.order]
-    live = _live_rows(at)
+    live, m2l_count, zt_delta = _live_rows(at), _m2l_count(tree), _leaf_deltas(at, zt_sorted)
     t_build = time.perf_counter() - t0
 
     guard = tree.half_width(levels) / 2.0
@@ -650,32 +709,38 @@ def _tree_work(particles: Particles | Sequence[Particle], levels: int, kernel: K
     t_near = time.perf_counter() - t0
     if at is not tree:  # the counter is that of evaluating every particle (see FmmRunStats)
         pairs = _neighbourhoods(tree, tree)[-1]
-    return _TreeWork(tree, z_sorted, gamma_sorted, at, zt_sorted, live, max_sigma <= guard, near_vel, pairs, t_build,
-                     t_near)
+    t0 = time.perf_counter()
+    leaves = _leaf_multipoles(tree, z_sorted, gamma_sorted, order)
+    return _TreeWork(tree, z_sorted, gamma_sorted, at, zt_sorted, zt_delta, live, m2l_count, leaves,
+                     max_sigma <= guard, near_vel, pairs, t_build, t_near, time.perf_counter() - t0)
 
 
 def _order_run(work: _TreeWork, order: int) -> tuple[np.ndarray, FmmRunStats]:
-    """The second stage: the passes and the far field at order ``order``, plus
-    ``work``'s near field.  Returns (u, v) rows in target order and the run
-    statistics; ``t_total`` is this stage's time plus ``work``'s recorded
-    build and near-field time, the cost of a standalone run.  A velocity that
-    is not finite raises ``ValueError`` naming its target."""
+    """The second stage: M2M, M2L, L2L and the far field at order ``order``,
+    plus ``work``'s near field.  Returns (u, v) rows in target order and the
+    run statistics; ``t_total`` is this stage's time plus ``work``'s recorded
+    build, near-field and P2M time, the cost of a standalone run.  Above the
+    order of ``work.leaves`` the run computes its own leaf multipoles.  A
+    velocity that is not finite raises ``ValueError`` naming its target."""
     tree = work.tree
+    held = work.leaves.shape[1] > order
+    t_p2m = work.t_p2m if held else 0.0
     stats = FmmRunStats(len(work.z_sorted), tree.levels, order, t_build=work.t_build, t_near=work.t_near,
-                        near_pair_count=work.near_pairs, sigma_guard_ok=work.sigma_guard_ok)
+                        m2l_count=work.m2l_count, near_pair_count=work.near_pairs, sigma_guard_ok=work.sigma_guard_ok)
     marks = [time.perf_counter()]
-    multipoles = upward_pass(tree, work.z_sorted, work.gamma_sorted, order)
+    multipoles = upward_pass(tree, work.z_sorted, work.gamma_sorted, order, _leaves=work.leaves if held else None)
     marks.append(time.perf_counter())
-    locals_, stats.m2l_count = translate_pass(tree, multipoles, order, _live=work.live)
+    locals_, _ = translate_pass(tree, multipoles, order, _live=work.live, _count=work.m2l_count)
     marks.append(time.perf_counter())
     downward_pass(tree, locals_)
     marks.append(time.perf_counter())
-    vel_sorted = expansions.f_to_velocity(far_field(work.at, locals_, work.zt_sorted))
+    vel_sorted = expansions.f_to_velocity(far_field(work.at, locals_, work.zt_sorted, _delta=work.zt_delta))
     marks.append(time.perf_counter())
     stats.t_upward, stats.t_m2l, stats.t_downward, stats.t_eval = np.diff(marks).tolist()
+    stats.t_upward += t_p2m
     velocities = np.empty_like(vel_sorted)
     velocities[work.at.order] = vel_sorted + work.near_vel
-    stats.t_total = time.perf_counter() - marks[0] + work.t_build + work.t_near
+    stats.t_total = time.perf_counter() - marks[0] + work.t_build + work.t_near + t_p2m
     return _check_finite(velocities, "velocity at target"), stats
 
 
@@ -689,7 +754,7 @@ def evaluate(
     Returns an (N, 2) array of (u, v) rows in the original particle order.
     When no domain is given, the smallest enclosing square is used.
     """
-    return _order_run(_tree_work(particles, config.levels, config.kernel, domain), config.order)
+    return _order_run(_tree_work(particles, config.levels, config.kernel, domain, order=config.order), config.order)
 
 
 def evaluate_at(
@@ -701,4 +766,4 @@ def evaluate_at(
     """Velocity at arbitrary in-domain target points (not necessarily particles),
     checked for shape and finiteness as ``velocity_direct`` checks them."""
     pts = _check_targets(targets)
-    return _order_run(_tree_work(particles, config.levels, config.kernel, domain, pts), config.order)[0]
+    return _order_run(_tree_work(particles, config.levels, config.kernel, domain, pts, config.order), config.order)[0]

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import engine
 from . import errors as errorlab
-from .engine import FmmConfig, bound_budgets, evaluate
+from .engine import FmmConfig, evaluate
 from .kernels import KernelKind, _check_cores, velocity_direct
 from .model import (
     DEFAULT_SIGMA,
@@ -207,19 +207,23 @@ class _ParticleSet:
     which every run reports as its oracle cost.  A sampling set's runs
     evaluate the FMM at its sample alone: the near field, the far field and
     M2L into the cells that hold a sampled target.  The runs of one depth
-    share the order-independent work, ``engine._tree_work``, and the bound
-    budgets' amplitudes, ``engine._budget_gather``, both recomputed when the
-    depth changes.  Either is exact: results are bit for bit a standalone
-    run's, and a sampled target's velocity is bit for bit its velocity in an
-    evaluation of every particle at one BLAS thread.
+    share the order-independent work, ``engine._tree_work``, with the leaf
+    multipoles at ``order``, the highest order its runs will take (or the
+    first run's, if higher), and the live cells' bound budget amplitudes,
+    ``engine._budget_gather``, both recomputed when the depth changes.  A run
+    above the held order computes its own leaf multipoles.  All of it is
+    exact: results are bit for bit a standalone run's, and a sampled target's
+    velocity and budget are bit for bit those of an evaluation of every
+    particle at one BLAS thread.
     """
 
     def __init__(
-        self, particles: Particles, domain: Domain, kernel: str, seed: int, distribution: str, oracle_k: int | None
+        self, particles: Particles, domain: Domain, kernel: str, seed: int, distribution: str, oracle_k: int | None,
+        order: int = 0,
     ):
         self.kind = _kernel_kind(kernel)
         self.particles, self.domain, self.kernel = particles, domain, kernel
-        self.seed, self.distribution = seed, distribution
+        self.seed, self.distribution, self.order = seed, distribution, order
         n = len(particles)
         if oracle_k is not None and oracle_k < n:
             rng = np.random.default_rng([seed, n, 0x0F5EED])
@@ -234,19 +238,19 @@ class _ParticleSet:
 
     @classmethod
     def generated(
-        cls, distribution: str, n: int, seed: int, kernel: str, sigma: float, oracle_k: int | None
+        cls, distribution: str, n: int, seed: int, kernel: str, sigma: float, oracle_k: int | None, order: int = 0
     ) -> _ParticleSet:
         """The set of ``n`` particles that ``generate_particles`` draws from ``seed`` on the unit domain."""
         particles = generate_particles(distribution, n, seed, UNIT_DOMAIN, sigma)
-        return cls(particles, UNIT_DOMAIN, kernel, seed, distribution, oracle_k)
+        return cls(particles, UNIT_DOMAIN, kernel, seed, distribution, oracle_k, order)
 
-    def at_depth(self, levels: int) -> tuple[engine._TreeWork, np.ndarray]:
-        """The order-independent work and the budget amplitudes at depth ``levels``."""
+    def at_depth(self, levels: int, order: int) -> tuple[engine._TreeWork, tuple]:
+        """The first stage and the budget gather at depth ``levels``, made for a run at ``order``."""
         if self.work is None or self.work.tree.levels != levels:
             # a sampled oracle scores its sample alone, so the runs evaluate there alone
             targets = self.targets if self.sampled else None
-            self.work = engine._tree_work(self.particles, levels, self.kind, self.domain, targets)
-            self.gathered = engine._budget_gather(self.work.tree, self.work.gamma_sorted)
+            work = engine._tree_work(self.particles, levels, self.kind, self.domain, targets, max(self.order, order))
+            self.work, self.gathered = work, engine._budget_gather(work.tree, work.gamma_sorted, work.live)
         return self.work, self.gathered
 
 
@@ -296,11 +300,10 @@ def run_case(particle_set: _ParticleSet, levels: int, p: int) -> CaseResult:
     """Run the fast evaluation at depth ``levels`` and order ``p`` at a particle set's oracle
     targets, and score it against the set's oracle and the run's truncation budgets."""
     config = FmmConfig(levels, p, particle_set.kind)
-    work, gathered = particle_set.at_depth(config.levels)
+    work, gathered = particle_set.at_depth(config.levels, config.order)
     velocities, stats = engine._order_run(work, config.order)
-    budgets = bound_budgets(work.tree, particle_set.particles.gamma, config.order, _gathered=gathered)
-    sample = particle_set.sample
-    report = errorlab.compare(velocities, particle_set.direct, particle_set.targets, budgets[sample])
+    budgets = engine._budgets_at(work.tree, gathered, config.order, work.at)
+    report = errorlab.compare(velocities, particle_set.direct, particle_set.targets, budgets)
     violations = len(errorlab.bound_check(report))
     return CaseResult(
         particle_set=particle_set,
@@ -378,9 +381,9 @@ def run_single(
         particles = read_particles(particles_path)
         if not particles:
             raise ValueError(f"{particles_path}: no particles")
-        particle_set = _ParticleSet(particles, enclosing_domain(particles), kernel, seed, distribution, None)
+        particle_set = _ParticleSet(particles, enclosing_domain(particles), kernel, seed, distribution, None, p)
     else:
-        particle_set = _ParticleSet.generated(distribution, n, seed, kernel, sigma, None)
+        particle_set = _ParticleSet.generated(distribution, n, seed, kernel, sigma, None, p)
 
     case = run_case(particle_set, levels, p)
     emap = errorlab.spatial_map(case.report, particle_set.domain, map_grid)
@@ -509,7 +512,7 @@ def run_sweep(
                 sets_n, sets = n, {}
             if seed not in sets:
                 sets[seed] = _ParticleSet.generated(
-                    config.distribution, n, seed, config.kernel, config.sigma, config.oracle_k
+                    config.distribution, n, seed, config.kernel, config.sigma, config.oracle_k, max(config.p_values)
                 )
             case = run_case(sets[seed], lev, p)
             # the map goes first: a row marks its tuple done, map included

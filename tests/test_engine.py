@@ -263,6 +263,22 @@ class TestUpwardPass:
         expected[occupied] = np.add.reduceat(powers, tree.leaf_starts[occupied], axis=0)
         assert upward_pass(tree, z, g, p)[levels].tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("distribution", ["uniform_random", "gaussian_patch", "two_patches"])
+    @pytest.mark.parametrize("n, levels", [(300, 3), (2000, 4), (1200, 5), (3000, 6)])
+    def test_leaf_multipoles_held_at_a_higher_order_give_the_fresh_pass(self, distribution, n, levels):
+        particles = generate_particles(distribution, n, 7)
+        tree = build_tree(particles, levels, UNIT)
+        z, g, _ = sorted_arrays(particles, tree)
+        held = engine._leaf_multipoles(tree, z, g, 60)
+        leaf_level = held[engine._level_start(levels):-1].copy()
+        # the held order first: M2M completes the held array in place, and the lower orders read its leaf level after
+        for p in (60, 33, 20, 7, 2, 1, 0):
+            got, want = upward_pass(tree, z, g, p, _leaves=held), upward_pass(tree, z, g, p)
+            for level in range(2, levels + 1):
+                assert got[level].tobytes() == want[level].tobytes(), (p, level)
+            assert got[levels].base.tobytes() == want[levels].base.tobytes()
+        assert held[engine._level_start(levels):-1].tobytes() == leaf_level.tobytes()
+
     def test_level2_cell_far_evaluation_within_bound(self):
         particles = generate_particles("uniform_random", 500, 3)
         tree = build_tree(particles, 3, UNIT)

@@ -434,25 +434,60 @@ class TestSweepTreeWork:
         # a particle set is told apart by its count and its smallest circulation
         seeds = {(n, float(generate_particles(config.distribution, n, seed, UNIT_DOMAIN, config.sigma).gamma.min())): seed
                  for n in config.n_values for seed in config.seeds}
-        gathers, rows = collections.Counter(), []
-        gather, budgets = engine._budget_gather, harness.bound_budgets
+        gathers, sums, rows = collections.Counter(), [], []
+        gather, budgets_at, case_of = engine._budget_gather, engine._budgets_at, harness.run_case
 
-        def counted_gather(tree, gamma_sorted):
+        def counted_gather(tree, gamma_sorted, live=None):
             gathers[len(gamma_sorted), tree.levels, seeds[len(gamma_sorted), float(gamma_sorted.min())]] += 1
-            return gather(tree, gamma_sorted)
+            return gather(tree, gamma_sorted, live)
 
-        def recorded_budgets(tree, gamma, order, **kwargs):
-            rows.append((tree, gamma, order, budgets(tree, gamma, order, **kwargs)))
+        def counted_budgets(tree, gathered, order, at):
+            sums.append(order)
+            return budgets_at(tree, gathered, order, at)
+
+        def recorded_case(particle_set, levels, p):
+            rows.append((particle_set, levels, p, case_of(particle_set, levels, p)))
             return rows[-1][-1]
 
         monkeypatch.setattr(engine, "_budget_gather", counted_gather)
-        monkeypatch.setattr(harness, "bound_budgets", recorded_budgets)
+        monkeypatch.setattr(engine, "_budgets_at", counted_budgets)
+        monkeypatch.setattr(harness, "run_case", recorded_case)
         run_sweep(config, tmp_path / "rows.csv")
         assert gathers == {(n, lev, seed): 1 for n, lev, _, seed in config.tuples()}
-        assert len(rows) == config.run_count
+        assert sums == [p for _, _, p, _ in config.tuples()]
         monkeypatch.setattr(engine, "_budget_gather", gather)
-        for tree, gamma, order, got in rows:
-            assert got.tobytes() == engine.bound_budgets(tree, gamma, order).tobytes()
+        for particle_set, levels, p, case in rows:
+            tree = build_tree(particle_set.particles, levels, particle_set.domain)
+            want = engine.bound_budgets(tree, particle_set.particles.gamma, p)[particle_set.sample]
+            assert case.report.bound_budget.tobytes() == want.tobytes()
+
+    def test_one_p2m_per_n_l_seed_at_the_largest_order(self, tmp_path, monkeypatch):
+        config = self.config()
+        seeds = {(n, float(generate_particles(config.distribution, n, seed, UNIT_DOMAIN, config.sigma).gamma.min())): seed
+                 for n in config.n_values for seed in config.seeds}
+        p2m = collections.Counter()
+        leaf_multipoles = engine._leaf_multipoles
+
+        def counted(tree, z_sorted, gamma_sorted, order):
+            p2m[len(gamma_sorted), tree.levels, seeds[len(gamma_sorted), float(gamma_sorted.min())], order] += 1
+            return leaf_multipoles(tree, z_sorted, gamma_sorted, order)
+
+        monkeypatch.setattr(engine, "_leaf_multipoles", counted)
+        run_sweep(config, tmp_path / "rows.csv")
+        assert p2m == {(n, lev, seed, max(config.p_values)): 1 for n, lev, _, seed in config.tuples()}
+
+    @pytest.mark.parametrize("oracle_k", [30, None])
+    def test_a_run_above_the_held_order_gives_a_fresh_sets_row(self, oracle_k):
+        def fresh():
+            return harness._ParticleSet.generated("gaussian_patch", 300, 2, "point", DEFAULT_SIGMA, oracle_k)
+
+        particle_set = fresh()
+        for p in (4, 12, 2):
+            case, want = run_case(particle_set, 4, p), run_case(fresh(), 4, p)
+            assert particle_set.work.leaves.shape[1] == 5
+            assert metric_cells([case.csv_row()]) == metric_cells([want.csv_row()])
+            assert case.velocities.tobytes() == want.velocities.tobytes()
+            assert case.report.bound_budget.tobytes() == want.report.bound_budget.tobytes()
 
     @pytest.mark.parametrize("oracle_k", [30, None])
     def test_rows_and_maps_match_independent_runs(self, tmp_path, oracle_k):
@@ -520,6 +555,19 @@ class TestSampledRows:
         """, OPENBLAS_NUM_THREADS="1")
         assert stdout == "done\n"
 
+    @pytest.mark.parametrize("kernel", ["point", "gaussian"])
+    @pytest.mark.parametrize("distribution", ["uniform_random", "gaussian_patch"])
+    def test_sampled_rows_budgets_are_the_full_budgets_at_the_sample(self, kernel, distribution):
+        # one target leaves a single live column per level and class that holds it
+        for oracle_k in (97, 1):
+            particle_set = harness._ParticleSet.generated(distribution, 1500, 3, kernel, DEFAULT_SIGMA, oracle_k)
+            for levels in (2, 3, 4, 5):
+                tree = build_tree(particle_set.particles, levels, UNIT_DOMAIN)
+                for p in (0, 12, 40):
+                    want = bound_budgets(tree, particle_set.particles.gamma, p)[particle_set.sample]
+                    got = run_case(particle_set, levels, p).report.bound_budget
+                    assert got.tobytes() == want.tobytes(), (oracle_k, levels, p)
+
     @pytest.mark.parametrize("oracle_k", [30, None])
     def test_near_and_far_field_see_only_the_scored_targets(self, tmp_path, monkeypatch, oracle_k):
         config = SweepConfig((100, 160), (2, 3), (2, 4), (1, 2), oracle_k=oracle_k)
@@ -530,9 +578,9 @@ class TestSampledRows:
             near.append((len(z_sorted), tree.levels, len(args[-1])))
             return near_field(tree, z_sorted, *args)
 
-        def counted_far(tree, locals_, z_sorted):
+        def counted_far(tree, locals_, z_sorted, **kwargs):
             far.append((tree.levels, len(z_sorted)))
-            return far_field(tree, locals_, z_sorted)
+            return far_field(tree, locals_, z_sorted, **kwargs)
 
         monkeypatch.setattr(engine, "near_field", counted_near)
         monkeypatch.setattr(engine, "far_field", counted_far)
