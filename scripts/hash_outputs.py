@@ -5,9 +5,10 @@
 
 ``SRC_DIR`` is the ``src`` directory of the checkout to hash, this one or
 another (say, a ``git clone`` at the parent commit).  Inputs are fixed and
-taken from this checkout (``study.cfg`` included), and only the public API
-and ``run_sweep`` are called, so two checkouts can be compared by diffing
-their output.  Each line is a name and the first 16 hex digits of a SHA-256:
+taken from this checkout (``study.cfg`` included), and only the public API,
+``run_sweep``, ``run_case`` and ``harness._ParticleSet.generated`` are
+called, so two checkouts can be compared by diffing their output.  Each line
+is a name and the first 16 hex digits of a SHA-256:
 
 - ``evaluate`` at five shapes: the velocities and, together, ``m2l_count``,
   ``near_pair_count`` and ``sigma_guard_ok``; at 4096 particles and depth 3
@@ -32,7 +33,12 @@ their output.  Each line is a name and the first 16 hex digits of a SHA-256:
 - the three files ``run_single`` writes (``velocities.csv``,
   ``error_report.csv``, ``error_map.csv``) for three inputs
   (``SINGLE_RUNS``): a generated point-vortex run, a blob run on
-  ``gaussian_patch``, and a particle file on the domain (-2, -1, 3).
+  ``gaussian_patch``, and a particle file on the domain (-2, -1, 3);
+- the metric columns of the rows ``run_case`` gives on one standalone
+  particle set (``HELD``: 300 ``gaussian_patch`` particles, depth 4), run at
+  orders 4, 12 and 2 in turn, once sampled(30) and once with every particle
+  as a target: the set is made for no order, so order 12 asks for more leaf
+  multipoles than the first row left it holding.
 
 Outputs may depend on the BLAS thread count, so compare two checkouts under
 the same ``OPENBLAS_NUM_THREADS``.
@@ -80,6 +86,8 @@ ALWAYS = {"n_values": (256,), "l_values": (3, 4), "p_values": (2, 9, 20), "seeds
 SEED = 1
 #: sweep rows kept before the torn row when the cut sweep is resumed
 CUT_ROWS = 4
+#: the standalone particle set: n, distribution, depth, the orders run in turn and the oracle samples
+HELD = {"n": 300, "distribution": "gaussian_patch", "levels": 4, "orders": (4, 12, 2), "oracle_k": (30, None)}
 
 
 def digest(*parts) -> str:
@@ -89,9 +97,9 @@ def digest(*parts) -> str:
     return h.hexdigest()[:16]
 
 
-def metric_columns(path: Path) -> list[str]:
-    """Every row of a sweep file without its two timing columns (11 and 12)."""
-    rows = [line.split(",") for line in path.read_text().splitlines()]
+def metric_columns(lines) -> list[str]:
+    """Sweep rows (CSV lines) without their two timing columns (11 and 12)."""
+    rows = [line.split(",") for line in lines]
     return [",".join(cells[:11] + cells[13:]) for cells in rows]
 
 
@@ -103,7 +111,7 @@ def main() -> int:
     import numpy as np
     from vortexfmm import FmmConfig, evaluate, evaluate_at, harness
     from vortexfmm.kernels import KernelKind, velocity_direct
-    from vortexfmm.model import Domain, generate_particles, write_particles
+    from vortexfmm.model import DEFAULT_SIGMA, Domain, generate_particles, write_particles
 
     for name, (n, levels, order, kernel, sigma, box) in EVALUATIONS.items():
         domain = Domain(*box)
@@ -136,14 +144,14 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for seed in (1, 2):
             out, _ = harness.run_sweep(dataclasses.replace(study, seeds=(seed,)), Path(tmp) / f"s{seed}.csv")
-            print(f"sweep/study_seed{seed} {digest(metric_columns(out))}")
+            print(f"sweep/study_seed{seed} {digest(metric_columns(out.read_text().splitlines()))}")
         cut = Path(tmp) / "s1.csv"
         lines = cut.read_text().splitlines(keepends=True)
         cut.write_text("".join(lines[:1 + CUT_ROWS]) + lines[1 + CUT_ROWS][:20])
         harness.run_sweep(dataclasses.replace(study, seeds=(1,)), cut, resume=True)
-        print(f"sweep/study_seed1_resumed {digest(metric_columns(cut))}")
+        print(f"sweep/study_seed1_resumed {digest(metric_columns(cut.read_text().splitlines()))}")
         out, _ = harness.run_sweep(dataclasses.replace(study, **ALWAYS), Path(tmp) / "always.csv")
-        print(f"sweep/oracle_always_256 {digest(metric_columns(out))}")
+        print(f"sweep/oracle_always_256 {digest(metric_columns(out.read_text().splitlines()))}")
 
         for name, kwargs in SINGLE_RUNS.items():
             kwargs = dict(kwargs)
@@ -158,6 +166,13 @@ def main() -> int:
                 harness.run_single(out_dir, seed=SEED, **kwargs)
             for file in ("velocities.csv", "error_report.csv", "error_map.csv"):
                 print(f"{name}/{file} {digest((out_dir / file).read_text())}")
+
+    rows = []
+    for oracle_k in HELD["oracle_k"]:
+        particle_set = harness._ParticleSet.generated(HELD["distribution"], HELD["n"], SEED, "point", DEFAULT_SIGMA,
+                                                      oracle_k)
+        rows += [harness.run_case(particle_set, HELD["levels"], p).csv_row() for p in HELD["orders"]]
+    print(f"particle_set/300_d4_p4_12_2 {digest(metric_columns(rows))}")
     return 0
 
 

@@ -32,14 +32,15 @@ one), the M2L count, the targets' offsets from their leaf centers, the sigma
 guard and the near field; and P2M, at the largest order its caller will
 run, since a leaf's multipole at order p is the first p + 1 coefficients of
 any longer one.  ``_order_run`` does the rest at one order: M2M from that
-prefix, M2L, L2L and the far field.  ``evaluate`` runs both with the
-particles themselves as targets at its order, ``evaluate_at`` at arbitrary
-targets binned into leaves, and a sweep runs the first stage once for all
-the orders of a tree, at the largest.  ``FmmConfig`` checks its fields when
-built.  The first stage rejects a domain side outside
-``kernels._SCALE_WINDOW``, where float64 cannot square the near field's
-separations, and blob cores whose 2 sigma^2 underflows; the second raises
-rather than return a velocity that is not finite.
+prefix, M2L, L2L and the far field.  Each pass of the second stage reads
+its inputs from the first stage's ``_TreeWork``, and only from there.
+``evaluate`` runs both with the particles themselves as targets at its
+order, ``evaluate_at`` at arbitrary targets binned into leaves, and a sweep
+runs the first stage once for all the orders of a tree, at the largest.
+``FmmConfig`` checks its fields when built.  The first stage rejects a
+domain side outside ``kernels._SCALE_WINDOW``, where float64 cannot square
+the near field's separations, and blob cores whose 2 sigma^2 underflows;
+the second raises rather than return a velocity that is not finite.
 
 Every coefficient is stored in units of its own cell side h: a multipole as
 a_k / h^(k+1), so that P2M sums (Gamma / h) ((z - c) / h)^k, and a local as
@@ -136,10 +137,10 @@ class FmmRunStats:
     run evaluated at: ``m2l_count`` is the number of translations from
     nonempty sources into every cell, ``near_pair_count`` the number of
     ordered near-field pairs of every particle, never with itself.  The
-    timings are the run's own, at its targets.  ``t_upward`` is P2M plus
-    M2M; when the first stage took P2M at a higher order (a sweep's largest),
-    its recorded time counts in ``t_upward`` and ``t_total``, as the build's
-    and the near field's count in theirs.
+    timings are the run's own, at its targets.  ``t_upward`` is M2M plus the
+    recorded time of the first stage's P2M, taken at that stage's order (a
+    sweep's largest), which counts in ``t_total`` too, as the build's and
+    the near field's count in theirs.
     """
 
     n: int
@@ -268,23 +269,24 @@ def _leaf_multipoles(tree: Tree, z_sorted: np.ndarray, gamma_sorted: np.ndarray,
     return store
 
 
-def upward_pass(tree: Tree, z_sorted: np.ndarray, gamma_sorted: np.ndarray, order: int,
-                _leaves: np.ndarray | None = None) -> list:
+def upward_pass(work: _TreeWork, order: int) -> list:
     """Multipole coefficients, in cell-side units, for every cell at levels
-    2..leaf, leaf upward.
+    2..leaf, leaf upward, by M2M from the first stage's leaf multipoles.
 
     Returns a list indexed by level (``None`` below level 2) of views of one
     pass array whose last row is zero.  Empty cells carry the zero expansion.
-    ``_leaves`` is ``_leaf_multipoles``' array at an order of at least
-    ``order`` (the first stage keeps one per depth): at a lower order its
-    leaf level's first ``order`` + 1 columns are copied into a new pass
-    array, at its own order M2M completes it in place.
+    ``work.leaves`` holds P2M at an order of at least ``order``: below it,
+    the leaf level's first ``order`` + 1 columns are copied into a new pass
+    array; at it, M2M completes ``work.leaves`` in place.  Leaves held below
+    ``order`` raise ``ValueError``.
     """
-    levels, p = tree.levels, order
-    store = _leaf_multipoles(tree, z_sorted, gamma_sorted, p) if _leaves is None else _leaves
-    if store.shape[1] > p + 1:
-        store = np.zeros((len(_leaves), p + 1), dtype=np.complex128)
-        store[_level_start(levels):-1] = _leaves[_level_start(levels):-1, :p + 1]
+    levels, p, leaves = work.tree.levels, order, work.leaves
+    if leaves.shape[1] < p + 1:
+        raise ValueError(f"leaf multipoles held at order {leaves.shape[1] - 1}, below the run's order {p}")
+    store = leaves
+    if leaves.shape[1] > p + 1:
+        store = np.zeros((len(leaves), p + 1), dtype=np.complex128)
+        store[_level_start(levels):-1] = leaves[_level_start(levels):-1, :p + 1]
     mult = _level_views(store, levels)
 
     m2m, _, _ = _translations(p)
@@ -294,18 +296,15 @@ def upward_pass(tree: Tree, z_sorted: np.ndarray, gamma_sorted: np.ndarray, orde
     return mult
 
 
-def translate_pass(tree: Tree, multipoles: list, order: int, targets: Tree | None = None,
-                   _live: tuple | None = None, _count: int | None = None) -> tuple[list, int]:
+def translate_pass(work: _TreeWork, multipoles: list, order: int) -> tuple[list, int]:
     """Per-level local expansions (levels 2..leaf, in cell-side units) from
     every cell's interaction list, and the number of translations from
-    nonempty sources (empty ones add zero) into every cell.
+    nonempty sources (empty ones add zero) into every cell, ``work.m2l_count``.
 
-    Given a ``targets`` tree, only its live cells, those holding a target,
-    get their locals; every other row is zero.  A live cell's parent is live,
-    so a live leaf's completed local is the full pass's.  ``_live`` is
-    ``_live_rows(targets)`` already computed and ``_count`` the count (the
-    first stage keeps both for each depth).  When every cell is live, the
-    pass is the full one.
+    Only the first stage's live cells, those holding a target, get their
+    locals, through the rows ``work.live``; every other row is zero.  A live
+    cell's parent is live, so a live leaf's completed local is the full
+    pass's.  When every cell is live, the pass is the full one.
 
     ``multipoles`` are views of ``upward_pass``'s array; the locals are views
     of one laid out alike.  Per parity class, one row per cell of every level
@@ -315,17 +314,16 @@ def translate_pass(tree: Tree, multipoles: list, order: int, targets: Tree | Non
     and no two chunks write the same row: they may run in any order on any
     thread (see ``_run_chunks``).
     """
-    levels, p = tree.levels, order
+    levels, p, live = work.tree.levels, order, work.live
     _, m2l, _ = _translations(p)
     rows = max(1, _CHUNK_BYTES // (27 * (p + 1) * 16))
     mult = multipoles[levels].base
-    live = _live_rows(targets) if _live is None and targets is not None else _live
     # rows no chunk assigns are zero, so that L2L multiplies no uninitialised memory
     loc = (np.empty if live is None else np.zeros)((len(mult) - 1, p + 1), dtype=np.complex128)
     chunks = [(mult, ids[a:a + rows], stacked, loc, dest[a:a + rows])
               for (dest, ids), stacked in zip(live or _pass_stencil(levels), m2l) for a in range(0, len(dest), rows)]
     _run_chunks(chunks)
-    return _level_views(loc, levels), _m2l_count(tree) if _count is None else _count
+    return _level_views(loc, levels), work.m2l_count
 
 
 def _m2l_count(tree: Tree) -> int:
@@ -424,21 +422,17 @@ def downward_pass(tree: Tree, locals_: list) -> list:
     return locals_
 
 
-def far_field(tree: Tree, locals_: list, z_sorted: np.ndarray, _delta: np.ndarray | None = None) -> np.ndarray:
+def far_field(work: _TreeWork, locals_: list) -> np.ndarray:
     """Evaluate each target's leaf-local expansion, in cell-side units, at the
-    target (f values).
-
-    ``tree`` bins the leaf-sorted targets ``z_sorted`` (often the particles).
-    ``_delta`` is ``_leaf_deltas(tree, z_sorted)`` already computed (the
-    first stage keeps it for each depth).
+    target (f values), in the leaf-sorted order of the first stage's target
+    tree ``work.at``, from the targets' offsets ``work.zt_delta``.
     """
-    leaf = tree.sorted_leaf
-    delta = _leaf_deltas(tree, z_sorted) if _delta is None else _delta
+    leaf = work.at.sorted_leaf
     # one contiguous row per coefficient, so each Horner step gathers one row
-    columns = locals_[tree.levels].T.copy()
+    columns = locals_[work.at.levels].T.copy()
     acc = columns[-1][leaf]
     for k in range(len(columns) - 2, -1, -1):
-        acc *= delta
+        acc *= work.zt_delta
         acc += columns[k][leaf]
     return acc
 
@@ -449,15 +443,16 @@ def near_field(
     gamma_sorted: np.ndarray,
     sigma_sorted: np.ndarray,
     kind: KernelKind,
-    targets: Tree | None = None,
-    zt_sorted: np.ndarray | None = None,
+    targets: Tree,
+    zt_sorted: np.ndarray,
 ) -> tuple[np.ndarray, int]:
     """Direct (u, v) contributions from each target's own and adjacent leaves.
 
-    Targets are the particles unless a ``targets`` tree and leaf-sorted
-    ``zt_sorted`` are given.  Exact self-terms are excluded by the
-    coincident-point convention.  Returns velocities in sorted target order
-    plus the ordered pair count; a particle is never its own pair.
+    ``targets`` bins the leaf-sorted targets ``zt_sorted``; when it is
+    ``tree`` itself, the targets are the particles.  Exact self-terms are
+    excluded by the coincident-point convention.  Returns velocities in
+    sorted target order plus the ordered pair count; a particle is never its
+    own pair.
 
     Every target sums its sources in one canonical order: neighbourhood rows
     y-1, y, y+1, ascending sorted index within a row.  Adjacent cells of one
@@ -480,8 +475,6 @@ def near_field(
     of summing every target's sources separately, whatever the path and the
     blocking.
     """
-    if targets is None:
-        targets, zt_sorted = tree, z_sorted
     leaves, per_leaf, starts, lengths, sizes, pairs = _neighbourhoods(tree, targets)
     dense = per_leaf * sizes >= _BLOCK
 
@@ -580,7 +573,7 @@ def _budget_factors(side: float, radius: float, order: int) -> tuple[np.ndarray,
     return classes
 
 
-def _budget_gather(tree: Tree, gamma_sorted: np.ndarray, live: tuple | None = None) -> tuple:
+def _budget_gather(tree: Tree, gamma_sorted: np.ndarray, live: tuple | None) -> tuple:
     """The budgets' order-independent part, for the live cells' columns only
     (``_live_rows``' rows, or every cell's when ``live`` is ``None``): their
     read-only (27 x columns) amplitudes (summed |Gamma|, zero outside the
@@ -640,17 +633,18 @@ def bound_budgets(tree: Tree, gamma: np.ndarray, order: int) -> np.ndarray:
     gather of its live cells for each depth and calls ``_budgets_at``, the
     same sum over fewer cells, for each order.
     """
-    return _budgets_at(tree, _budget_gather(tree, gamma[tree.order]), order, tree)
+    return _budgets_at(tree, _budget_gather(tree, gamma[tree.order], None), order, tree)
 
 
 class _TreeWork(NamedTuple):
-    """``_tree_work``'s result: the particle tree, sorted positions and
-    circulations, the target tree, sorted targets and their offsets from
-    their leaves' centers in leaf sides (``far_field``'s ``_delta``), its live
-    M2L rows (``_live_rows``), the count of translations into every cell, the
-    leaf multipoles (``_leaf_multipoles``, at the largest order the caller
-    will run), the sigma guard's verdict, the read-only sorted near field, the
-    pair count of evaluating every particle, build, near and P2M seconds."""
+    """``_tree_work``'s result, what every pass reads: the particle tree,
+    sorted positions and circulations, the target tree, sorted targets and
+    their offsets from their leaves' centers in leaf sides (``far_field``'s),
+    its live M2L rows (``_live_rows``, ``translate_pass``'s), the count of
+    translations into every cell, the leaf multipoles (``_leaf_multipoles``,
+    ``upward_pass``'s, at the largest order the caller will run), the sigma
+    guard's verdict, the read-only sorted near field, the pair count of
+    evaluating every particle, build, near and P2M seconds."""
 
     tree: Tree
     z_sorted: np.ndarray
@@ -670,11 +664,11 @@ class _TreeWork(NamedTuple):
 
 
 def _tree_work(particles: Particles | Sequence[Particle], levels: int, kernel: KernelKind,
-               domain: Domain | None, targets: np.ndarray | None = None, order: int = 0) -> _TreeWork:
+               domain: Domain | None, targets: np.ndarray | None, order: int) -> _TreeWork:
     """The first stage: everything that does not depend on the order, and the
     leaf multipoles at ``order``, of which every lower order's are a prefix.
-    Targets are the particles unless ``targets`` ((M, 2) positions) are
-    given."""
+    Targets are the particles when ``targets`` ((M, 2) positions) is
+    ``None``."""
     if not particles:
         raise ValueError("need at least one particle")
     t0 = time.perf_counter()
@@ -719,28 +713,26 @@ def _order_run(work: _TreeWork, order: int) -> tuple[np.ndarray, FmmRunStats]:
     """The second stage: M2M, M2L, L2L and the far field at order ``order``,
     plus ``work``'s near field.  Returns (u, v) rows in target order and the
     run statistics; ``t_total`` is this stage's time plus ``work``'s recorded
-    build, near-field and P2M time, the cost of a standalone run.  Above the
-    order of ``work.leaves`` the run computes its own leaf multipoles.  A
-    velocity that is not finite raises ``ValueError`` naming its target."""
+    build, near-field and P2M time, the cost of a standalone run.  ``work``
+    must hold its leaf multipoles at ``order`` or above (see ``upward_pass``).
+    A velocity that is not finite raises ``ValueError`` naming its target."""
     tree = work.tree
-    held = work.leaves.shape[1] > order
-    t_p2m = work.t_p2m if held else 0.0
     stats = FmmRunStats(len(work.z_sorted), tree.levels, order, t_build=work.t_build, t_near=work.t_near,
                         m2l_count=work.m2l_count, near_pair_count=work.near_pairs, sigma_guard_ok=work.sigma_guard_ok)
     marks = [time.perf_counter()]
-    multipoles = upward_pass(tree, work.z_sorted, work.gamma_sorted, order, _leaves=work.leaves if held else None)
+    multipoles = upward_pass(work, order)
     marks.append(time.perf_counter())
-    locals_, _ = translate_pass(tree, multipoles, order, _live=work.live, _count=work.m2l_count)
+    locals_, _ = translate_pass(work, multipoles, order)
     marks.append(time.perf_counter())
     downward_pass(tree, locals_)
     marks.append(time.perf_counter())
-    vel_sorted = expansions.f_to_velocity(far_field(work.at, locals_, work.zt_sorted, _delta=work.zt_delta))
+    vel_sorted = expansions.f_to_velocity(far_field(work, locals_))
     marks.append(time.perf_counter())
     stats.t_upward, stats.t_m2l, stats.t_downward, stats.t_eval = np.diff(marks).tolist()
-    stats.t_upward += t_p2m
+    stats.t_upward += work.t_p2m
     velocities = np.empty_like(vel_sorted)
     velocities[work.at.order] = vel_sorted + work.near_vel
-    stats.t_total = time.perf_counter() - marks[0] + work.t_build + work.t_near + t_p2m
+    stats.t_total = time.perf_counter() - marks[0] + work.t_build + work.t_near + work.t_p2m
     return _check_finite(velocities, "velocity at target"), stats
 
 
@@ -754,7 +746,7 @@ def evaluate(
     Returns an (N, 2) array of (u, v) rows in the original particle order.
     When no domain is given, the smallest enclosing square is used.
     """
-    return _order_run(_tree_work(particles, config.levels, config.kernel, domain, order=config.order), config.order)
+    return _order_run(_tree_work(particles, config.levels, config.kernel, domain, None, config.order), config.order)
 
 
 def evaluate_at(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import TWO_PI
-from .model import Domain
+from .model import Domain, _check_count
 from .quadtree import grid_indices
 
 
@@ -97,14 +97,9 @@ class ErrorMap:
     mean_err: np.ndarray
 
 
-def _check_grid(grid_dim: int) -> None:
-    if grid_dim < 1:
-        raise ValueError(f"grid_dim must be >= 1, got {grid_dim}")
-
-
 def spatial_map(report: ErrorReport, domain: Domain, grid_dim: int) -> ErrorMap:
     """Bin per-target errors onto a grid; bin assignment follows the quadtree floor rule."""
-    _check_grid(grid_dim)
+    _check_count("grid_dim", grid_dim)
     g = grid_dim
     ix, iy = grid_indices(report.positions[:, 0], report.positions[:, 1], g, domain)
     counts = np.zeros((g, g), dtype=np.int64)

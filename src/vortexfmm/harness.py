@@ -97,13 +97,13 @@ class SweepConfig:
         _checked("'kernel'", _kernel_kind, self.kernel)
         if self.distribution not in DISTRIBUTIONS:
             raise ConfigError(f"config key 'distribution': expected one of {DISTRIBUTIONS}, got {self.distribution!r}")
-        if self.oracle_k is not None and self.oracle_k < 1:
-            raise ConfigError("config key 'oracle': sample size must be >= 1")
+        if self.oracle_k is not None:
+            _checked("'oracle'", _check_count, "sample size", self.oracle_k)
         for key, values in self._lists().items():
             if len(set(values)) < len(values):
                 raise ConfigError(f"config key {key!r}: repeated value in {', '.join(map(str, values))}")
         for n in self.n_values:
-            _checked("'n'", _check_count, n)
+            _checked("'n'", _check_count, "particle count", n)
         for seed in self.seeds:
             _checked("'seeds'", np.random.SeedSequence, seed)
         for levels in self.l_values:
@@ -112,7 +112,7 @@ class SweepConfig:
             _checked("'p'", FmmConfig, 2, p)
         _checked("'sigma'", Particles, [0.0], [0.0], [0.0], [self.sigma])
         _checked("'sigma'", _check_cores, np.array([self.sigma]), _KERNEL_TOKENS[self.kernel])
-        _checked("'map_grid'", errorlab._check_grid, self.map_grid)
+        _checked("'map_grid'", _check_count, "map grid", self.map_grid)
 
     def _lists(self) -> dict[str, tuple[int, ...]]:
         return {"n": self.n_values, "levels": self.l_values, "p": self.p_values, "seeds": self.seeds}
@@ -209,12 +209,12 @@ class _ParticleSet:
     M2L into the cells that hold a sampled target.  The runs of one depth
     share the order-independent work, ``engine._tree_work``, with the leaf
     multipoles at ``order``, the highest order its runs will take (or the
-    first run's, if higher), and the live cells' bound budget amplitudes,
-    ``engine._budget_gather``, both recomputed when the depth changes.  A run
-    above the held order computes its own leaf multipoles.  All of it is
-    exact: results are bit for bit a standalone run's, and a sampled target's
-    velocity and budget are bit for bit those of an evaluation of every
-    particle at one BLAS thread.
+    run's, if higher), and the live cells' bound budget amplitudes,
+    ``engine._budget_gather``, both made again when the depth changes or a
+    run asks for an order above the one held.  All of it is exact: results
+    are bit for bit a standalone run's, and a sampled target's velocity and
+    budget are bit for bit those of an evaluation of every particle at one
+    BLAS thread.
     """
 
     def __init__(
@@ -245,8 +245,9 @@ class _ParticleSet:
         return cls(particles, UNIT_DOMAIN, kernel, seed, distribution, oracle_k, order)
 
     def at_depth(self, levels: int, order: int) -> tuple[engine._TreeWork, tuple]:
-        """The first stage and the budget gather at depth ``levels``, made for a run at ``order``."""
-        if self.work is None or self.work.tree.levels != levels:
+        """The first stage and the budget gather at depth ``levels``, holding the leaf multipoles at
+        ``order`` or above."""
+        if self.work is None or self.work.tree.levels != levels or self.work.leaves.shape[1] <= order:
             # a sampled oracle scores its sample alone, so the runs evaluate there alone
             targets = self.targets if self.sampled else None
             work = engine._tree_work(self.particles, levels, self.kind, self.domain, targets, max(self.order, order))
@@ -375,15 +376,15 @@ def run_single(
     or the oracle runs.  ``out_dir`` is made only once the run has succeeded,
     so a bad particle file or a failed run leaves nothing behind.
     """
-    errorlab._check_grid(map_grid)
+    _check_count("map_grid", map_grid)
     FmmConfig(levels, p, _kernel_kind(kernel))
     if particles_path is not None:
         particles = read_particles(particles_path)
         if not particles:
             raise ValueError(f"{particles_path}: no particles")
-        particle_set = _ParticleSet(particles, enclosing_domain(particles), kernel, seed, distribution, None, p)
+        particle_set = _ParticleSet(particles, enclosing_domain(particles), kernel, seed, distribution, None)
     else:
-        particle_set = _ParticleSet.generated(distribution, n, seed, kernel, sigma, None, p)
+        particle_set = _ParticleSet.generated(distribution, n, seed, kernel, sigma, None)
 
     case = run_case(particle_set, levels, p)
     emap = errorlab.spatial_map(case.report, particle_set.domain, map_grid)
@@ -581,8 +582,7 @@ def timing_study(
     """
     if not n_values:
         raise ValueError("n_values is empty: no n to time")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    _check_count("repeats", repeats)
     if min(n_values) > direct_cutoff:
         raise ValueError("direct_cutoff excludes every requested n; nothing to extrapolate from")
     rows: list[tuple[int, int, float, float | None]] = []

@@ -118,10 +118,11 @@ def _check_integer(name: str, value) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_count(n: int) -> None:
-    _check_integer("particle count", n)
+def _check_count(name: str, n: int) -> None:
+    """``_check_integer``, then ``ValueError`` for ``n`` below 1."""
+    _check_integer(name, n)
     if n < 1:
-        raise ValueError(f"particle count must be >= 1, got {n}")
+        raise ValueError(f"{name} must be >= 1, got {n}")
 
 
 def generate_particles(
@@ -148,7 +149,7 @@ def generate_particles(
         superposition of two such patches of opposite sign centered at
         (1/4, 1/2) and (3/4, 1/2) of the domain; net circulation near zero.
     """
-    _check_count(n)
+    _check_count("particle count", n)
     if distribution not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}, expected one of {DISTRIBUTIONS}")
 

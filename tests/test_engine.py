@@ -55,14 +55,25 @@ def linear_id(cell: CellId) -> int:
     return cell.iy * 2**cell.level + cell.ix
 
 
+def first_stage(particles, levels, p, targets=None, domain=UNIT):
+    """What the passes read: the first stage, ``engine._tree_work``, of the
+    point kernel with P2M at order ``p``, at ``targets`` ((M, 2) positions).
+    By default they are the leaves' centers, so that every cell is live and
+    M2L is the full pass."""
+    if targets is None:
+        centers = (np.arange(2**levels) + 0.5) * (domain.side / 2**levels)
+        gx, gy = np.meshgrid(domain.xmin + centers, domain.ymin + centers)
+        targets = np.stack((gx.ravel(), gy.ravel()), axis=1)
+    return engine._tree_work(particles, levels, POINT, domain, targets, order=p)
+
+
 def canonical_near(tree, z, g, s, kind, target_tree=None, zt=None):
     """Per-target near-field reference: the 3x3 leaf block's sources in
     canonical order (row-major leaves, ascending sorted index within), each
     target's terms summed as its own 1-D array.  Returns (vel, pairs, sizes)."""
     if target_tree is None:
-        target_tree, zt, pairs = tree, z, -len(z)
-    else:
-        pairs = 0
+        target_tree, zt = tree, z
+    pairs = -len(z) if target_tree is tree else 0
     m = 2**tree.levels
     src_x, src_y = tree.sorted_leaf % m, tree.sorted_leaf // m
     vel = np.zeros((len(zt), 2))
@@ -228,9 +239,9 @@ class TestUpwardPass:
 
     def test_single_particle_circulation_on_every_ancestor(self):
         particles = [Particle(0.23, 0.71, 0.8, 0.01)]
-        tree = build_tree(particles, 4, UNIT)
-        z, g, _ = sorted_arrays(particles, tree)
-        mult = upward_pass(tree, z, g, 5)
+        work = first_stage(particles, 4, 5)
+        tree = work.tree
+        mult = upward_pass(work, 5)
         for level in range(2, 5):
             cell = linear_id(
                 CellId(level, int(0.23 * 2**level), int(0.71 * 2**level))
@@ -240,9 +251,10 @@ class TestUpwardPass:
 
     def test_level2_leading_coefficients_sum_to_total_circulation(self):
         particles = generate_particles("uniform_random", 400, 6)
-        tree = build_tree(particles, 4, UNIT)
+        work = first_stage(particles, 4, 8)
+        tree = work.tree
         z, g, _ = sorted_arrays(particles, tree)
-        mult = upward_pass(tree, z, g, 8)
+        mult = upward_pass(work, 8)
         assert mult[2][:, 0].sum() * tree.cell_side(2) == pytest.approx(g.sum(), rel=1e-13, abs=1e-13)
 
     # 64, 16, 1 and 1/4 particles per leaf on average
@@ -250,7 +262,8 @@ class TestUpwardPass:
     def test_leaf_expansions_bitwise_equal_to_column_loop(self, n, levels, p):
         # the (N, p + 1) layout, one strided column per power, reduced per leaf
         particles = generate_particles("uniform_random", n, 4)
-        tree = build_tree(particles, levels, UNIT)
+        work = first_stage(particles, levels, p)
+        tree = work.tree
         z, g, _ = sorted_arrays(particles, tree)
         side = tree.cell_side(levels)
         delta = (z - tree.centers(levels)[tree.sorted_leaf]) / side
@@ -261,29 +274,35 @@ class TestUpwardPass:
         occupied = np.flatnonzero(tree.nonempty(levels))
         expected = np.zeros((4**levels, p + 1), dtype=np.complex128)
         expected[occupied] = np.add.reduceat(powers, tree.leaf_starts[occupied], axis=0)
-        assert upward_pass(tree, z, g, p)[levels].tobytes() == expected.tobytes()
+        assert upward_pass(work, p)[levels].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("distribution", ["uniform_random", "gaussian_patch", "two_patches"])
     @pytest.mark.parametrize("n, levels", [(300, 3), (2000, 4), (1200, 5), (3000, 6)])
     def test_leaf_multipoles_held_at_a_higher_order_give_the_fresh_pass(self, distribution, n, levels):
         particles = generate_particles(distribution, n, 7)
-        tree = build_tree(particles, levels, UNIT)
-        z, g, _ = sorted_arrays(particles, tree)
-        held = engine._leaf_multipoles(tree, z, g, 60)
-        leaf_level = held[engine._level_start(levels):-1].copy()
+        held = first_stage(particles, levels, 60)
+        leaf_level = held.leaves[engine._level_start(levels):-1].copy()
         # the held order first: M2M completes the held array in place, and the lower orders read its leaf level after
         for p in (60, 33, 20, 7, 2, 1, 0):
-            got, want = upward_pass(tree, z, g, p, _leaves=held), upward_pass(tree, z, g, p)
+            got, want = upward_pass(held, p), upward_pass(first_stage(particles, levels, p), p)
             for level in range(2, levels + 1):
                 assert got[level].tobytes() == want[level].tobytes(), (p, level)
             assert got[levels].base.tobytes() == want[levels].base.tobytes()
-        assert held[engine._level_start(levels):-1].tobytes() == leaf_level.tobytes()
+        assert held.leaves[engine._level_start(levels):-1].tobytes() == leaf_level.tobytes()
+
+    def test_leaf_multipoles_held_below_the_order_are_refused(self):
+        # M2M would otherwise read a pass array narrower than its matrices
+        work = first_stage(generate_particles("uniform_random", 300, 7), 3, 4)
+        for run in (upward_pass, engine._order_run):
+            with pytest.raises(ValueError, match="held at order 4, below the run's order 5"):
+                run(work, 5)
 
     def test_level2_cell_far_evaluation_within_bound(self):
         particles = generate_particles("uniform_random", 500, 3)
-        tree = build_tree(particles, 3, UNIT)
+        work = first_stage(particles, 3, 10)
+        tree = work.tree
         z, g, _ = sorted_arrays(particles, tree)
-        mult = upward_pass(tree, z, g, 10)
+        mult = upward_pass(work, 10)
         cell = CellId(2, 1, 1)
         center = tree.centers(2)[linear_id(cell)]
         assert center == 0.375 + 0.375j
@@ -313,10 +332,9 @@ class TestTranslatePass:
         rng = np.random.default_rng(4)
         pts = 0.25 * rng.uniform(0.01, 0.99, size=(30, 2))
         particles = [Particle(float(x), float(y), 1.0, 0.001) for x, y in pts]
-        tree = build_tree(particles, 2, UNIT)
-        z, g, _ = sorted_arrays(particles, tree)
-        mult = upward_pass(tree, z, g, 6)
-        locals_, count = translate_pass(tree, mult, 6)
+        work = first_stage(particles, 2, 6)
+        mult = upward_pass(work, 6)
+        locals_, count = translate_pass(work, mult, 6)
         expected_nonzero = {linear_id(c) for c in interaction_list(CellId(2, 0, 0))}
         got_nonzero = set(np.flatnonzero(np.abs(locals_[2]).sum(axis=1) > 0).tolist())
         assert got_nonzero == expected_nonzero
@@ -327,9 +345,8 @@ class TestTranslatePass:
     def test_count_matches_exhaustive_enumeration(self):
         particles = generate_particles("uniform_random", 300, 9)
         tree = build_tree(particles, 3, UNIT)
-        z, g, _ = sorted_arrays(particles, tree)
-        mult = upward_pass(tree, z, g, 4)
-        _, count = translate_pass(tree, mult, 4)
+        work = first_stage(particles, 3, 4)
+        _, count = translate_pass(work, upward_pass(work, 4), 4)
         expected = 0
         for level in (2, 3):
             occupied = tree.nonempty(level)
@@ -343,11 +360,11 @@ class TestTranslatePass:
 
     def test_single_far_particle_reaches_leaf_within_budget(self):
         particles = [Particle(0.05, 0.05, 1.5, 0.001)]
-        tree = build_tree(particles, 3, UNIT)
-        z, g, _ = sorted_arrays(particles, tree)
         p = 8
-        mult = upward_pass(tree, z, g, p)
-        locals_, _ = translate_pass(tree, mult, p)
+        work = first_stage(particles, 3, p)
+        tree = work.tree
+        z, g, _ = sorted_arrays(particles, tree)
+        locals_, _ = translate_pass(work, upward_pass(work, p), p)
         downward_pass(tree, locals_)
         far_cell = CellId(3, 7, 7)
         center = tree.centers(3)[linear_id(far_cell)]
@@ -414,11 +431,11 @@ class TestTranslatePass:
         # every cell's local is the sum of expansions.m2l_matrix over its
         # interaction_list, applied to the nonempty sources one at a time
         particles = generate_particles("uniform_random", 1500, 8)
-        tree = build_tree(particles, levels, UNIT)
-        z, g, _ = sorted_arrays(particles, tree)
         p = 9
-        mult = upward_pass(tree, z, g, p)
-        locals_, count = translate_pass(tree, mult, p)
+        work = first_stage(particles, levels, p)
+        tree = work.tree
+        mult = upward_pass(work, p)
+        locals_, count = translate_pass(work, mult, p)
         matrices = {}
         expected_count = 0
         for level in range(2, levels + 1):
@@ -442,26 +459,22 @@ class TestTranslatePass:
 
     @pytest.mark.parametrize("levels, p", [(6, 40), (3, 4)])
     def test_bitwise_equal_to_serial_chunk_loop(self, levels, p):
-        particles = generate_particles("uniform_random", 4096, 5)
-        tree = build_tree(particles, levels, UNIT)
-        z, g, _ = sorted_arrays(particles, tree)
-        mult = upward_pass(tree, z, g, p)
+        work = first_stage(generate_particles("uniform_random", 4096, 5), levels, p)
+        mult = upward_pass(work, p)
         expected, rows = serial_translations(mult, levels, p)
         per_class = sum(len(_interaction_stencil(level)[0][1]) for level in range(2, levels + 1))
         # a class's chunks run over all its levels: depth 6, p = 40: many full
         # chunks per class; depth 3, p = 4: one partial
         assert per_class > 10 * rows if levels == 6 else per_class < rows
-        locals_, _ = translate_pass(tree, mult, p)
+        locals_, _ = translate_pass(work, mult, p)
         for level in range(2, levels + 1):
             assert locals_[level].tobytes() == expected[level].tobytes()
 
     def test_more_chunk_threads_than_cores_give_the_serial_result(self, monkeypatch):
         # four chunk threads and a short switch interval: a lost chunk would
         # leave rows of np.empty behind, a misplaced one other bits
-        particles = generate_particles("uniform_random", 4096, 6)
-        tree = build_tree(particles, 6, UNIT)
-        z, g, _ = sorted_arrays(particles, tree)
-        mult = upward_pass(tree, z, g, 24)
+        work = first_stage(generate_particles("uniform_random", 4096, 6), 6, 24)
+        mult = upward_pass(work, 24)
         expected, _ = serial_translations(mult, 6, 24)
         results = []
         interval = sys.getswitchinterval()
@@ -469,7 +482,7 @@ class TestTranslatePass:
             monkeypatch.setattr(engine, "_chunk_pool", lambda: (pool, 4))
             sys.setswitchinterval(1e-6)
             try:
-                threads = [threading.Thread(target=lambda: results.append(translate_pass(tree, mult, 24)[0]))
+                threads = [threading.Thread(target=lambda: results.append(translate_pass(work, mult, 24)[0]))
                            for _ in range(3)]
                 assert joined_within(threads)
             finally:
@@ -481,15 +494,13 @@ class TestTranslatePass:
 
     def test_shut_down_pool_leaves_the_chunks_to_the_caller(self, monkeypatch):
         # submit raises RuntimeError, as it does once the interpreter is exiting
-        particles = generate_particles("uniform_random", 4096, 6)
-        tree = build_tree(particles, 6, UNIT)
-        z, g, _ = sorted_arrays(particles, tree)
-        mult = upward_pass(tree, z, g, 24)
+        work = first_stage(generate_particles("uniform_random", 4096, 6), 6, 24)
+        mult = upward_pass(work, 24)
         expected, _ = serial_translations(mult, 6, 24)
         pool = ThreadPoolExecutor(2)
         pool.shutdown()
         monkeypatch.setattr(engine, "_chunk_pool", lambda: (pool, 2))
-        locals_, _ = translate_pass(tree, mult, 24)
+        locals_, _ = translate_pass(work, mult, 24)
         for level in range(2, 7):
             assert locals_[level].tobytes() == expected[level].tobytes()
 
@@ -518,17 +529,16 @@ class TestTranslatePass:
         # thread a row's bits do not depend on the shape, so the locals and
         # the budgets stay those of one level and class at a time
         stdout = run_isolated("""
-            from test_engine import per_level_budgets, per_level_translations, sorted_arrays
+            from test_engine import first_stage, per_level_budgets, per_level_translations
             from vortexfmm import engine
             from vortexfmm.model import Domain, generate_particles
             from vortexfmm.quadtree import build_tree
             for domain in (Domain(0.0, 0.0, 1.0), Domain(-2.0, -1.0, 3.0), Domain(-1.0, 0.5, 2.5)):
                 particles = generate_particles("uniform_random", 3000, 9, domain)
                 for levels, p in ((2, 4), (3, 60), (5, 17), (6, 40)):
-                    tree = build_tree(particles, levels, domain)
-                    z, g, _ = sorted_arrays(particles, tree)
-                    mult = engine.upward_pass(tree, z, g, p)
-                    got, want = engine.translate_pass(tree, mult, p)[0], per_level_translations(mult, levels, p)
+                    work = first_stage(particles, levels, p, domain=domain)
+                    mult = engine.upward_pass(work, p)
+                    got, want = engine.translate_pass(work, mult, p)[0], per_level_translations(mult, levels, p)
                     if any(got[level].tobytes() != want[level].tobytes() for level in range(2, levels + 1)):
                         print("translate_pass", domain, levels, p)
                 for levels in range(2, 7):
@@ -547,10 +557,9 @@ class TestTranslatePass:
         # full pass's
         stdout = run_isolated("""
             import numpy as np
-            from test_engine import sorted_arrays
+            from test_engine import first_stage
             from vortexfmm import engine
-            from vortexfmm.model import UNIT_DOMAIN, generate_particles
-            from vortexfmm.quadtree import _leaf_tree, build_tree
+            from vortexfmm.model import generate_particles
             rng = np.random.default_rng(11)
             for distribution in ("uniform_random", "gaussian_patch"):
                 particles = generate_particles(distribution, 3000, 7)
@@ -559,14 +568,15 @@ class TestTranslatePass:
                       "corner": 0.2 * rng.uniform(size=(500, 2)), "none": np.zeros((0, 2))}
                 # (4, 28): the full pass ends a class on a one-row chunk
                 for levels, p in ((2, 4), (3, 60), (4, 28), (5, 17), (6, 40)):
-                    tree = build_tree(particles, levels, UNIT_DOMAIN)
-                    z, g, _ = sorted_arrays(particles, tree)
-                    mult = engine.upward_pass(tree, z, g, p)
-                    full, count = engine.translate_pass(tree, mult, p)
-                    completed = engine.downward_pass(tree, engine.translate_pass(tree, mult, p)[0])
+                    work = first_stage(particles, levels, p)
+                    tree = work.tree
+                    mult = engine.upward_pass(work, p)
+                    full, count = engine.translate_pass(work, mult, p)
+                    completed = engine.downward_pass(tree, engine.translate_pass(work, mult, p)[0])
                     for name, pts in at.items():
-                        targets = _leaf_tree(pts[:, 0], pts[:, 1], levels, UNIT_DOMAIN, "target")
-                        got, got_count = engine.translate_pass(tree, mult, p, targets)
+                        pruned = first_stage(particles, levels, p, pts)
+                        targets = pruned.at
+                        got, got_count = engine.translate_pass(pruned, mult, p)
                         ok = got_count == count
                         for level in range(2, levels + 1):
                             live = targets.nonempty(level)
@@ -584,12 +594,10 @@ class TestTranslatePass:
         # field_probe's grid: a target in every leaf, so nothing is pruned or zero-filled
         axis = (np.arange(16) + 0.5) / 16
         gx, gy = np.meshgrid(axis, axis)
-        targets = build_tree(Particles(gx.ravel(), gy.ravel(), np.ones(256), np.full(256, 0.001)), 4, UNIT)
-        assert engine._live_rows(targets) is None
-        particles = generate_particles("uniform_random", 500, 2)
-        tree = build_tree(particles, 4, UNIT)
-        z, g, _ = sorted_arrays(particles, tree)
-        mult = upward_pass(tree, z, g, 9)
+        grid = np.stack((gx.ravel(), gy.ravel()), axis=1)
+        work = first_stage(generate_particles("uniform_random", 500, 2), 4, 9, grid)
+        assert work.live is None
+        mult = upward_pass(work, 9)
         dests = []
         chunk = engine._translate_chunk
 
@@ -598,9 +606,9 @@ class TestTranslatePass:
             return chunk(*args)
 
         monkeypatch.setattr(engine, "_translate_chunk", recording)
-        locals_, _ = translate_pass(tree, mult, 9, targets)
+        locals_, _ = translate_pass(work, mult, 9)
         assert np.array_equal(np.sort(np.concatenate(dests)), np.arange(engine._level_start(5)))
-        assert locals_[4].tobytes() == translate_pass(tree, mult, 9)[0][4].tobytes()
+        assert locals_[4].tobytes() == serial_translations(mult, 4, 9)[0][4].tobytes()
 
     def test_each_translation_matrix_built_once_per_order(self, monkeypatch):
         build = expansions.m2l_matrix
@@ -642,14 +650,14 @@ class TestDownwardPass:
 
     def test_leaf_local_encodes_far_field_of_non_neighbors(self):
         particles = generate_particles("uniform_random", 200, 12)
-        tree = build_tree(particles, 3, UNIT)
-        z, g, _ = sorted_arrays(particles, tree)
         p = 10
-        mult = upward_pass(tree, z, g, p)
-        locals_, _ = translate_pass(tree, mult, p)
+        work = first_stage(particles, 3, p, positions_of(particles))
+        tree = work.tree
+        z, g, _ = sorted_arrays(particles, tree)
+        locals_, _ = translate_pass(work, upward_pass(work, p), p)
         downward_pass(tree, locals_)
         budgets = bound_budgets(tree, to_arrays(particles)[2], p)[tree.order]
-        f_far = far_field(tree, locals_, z)
+        f_far = far_field(work, locals_)
         m = 8
         for i in range(0, 200, 17):
             leaf = int(tree.sorted_leaf[i])
@@ -667,7 +675,7 @@ class TestNearField:
         particles = [Particle(0.1, 0.1, 1.0, 0.001), Particle(0.9, 0.9, -1.0, 0.001)]
         tree = build_tree(particles, 3, UNIT)
         z, g, s = sorted_arrays(particles, tree)
-        vel, pairs = near_field(tree, z, g, s, POINT)
+        vel, pairs = near_field(tree, z, g, s, POINT, tree, z)
         assert np.all(vel == 0.0)
         assert pairs == 0
 
@@ -676,7 +684,7 @@ class TestNearField:
         b = Particle(0.53, 0.55, -1.1, 0.01)
         tree = build_tree([a, b], 2, UNIT)
         z, g, s = sorted_arrays([a, b], tree)
-        vel, pairs = near_field(tree, z, g, s, POINT)
+        vel, pairs = near_field(tree, z, g, s, POINT, tree, z)
         vel_orig = np.empty_like(vel)
         vel_orig[tree.order] = vel
         assert tuple(vel_orig[0]) == kernel_eval((a.x, a.y), b, POINT)
@@ -689,7 +697,7 @@ class TestNearField:
         particles = generate_particles("uniform_random", 150, 21)
         tree = build_tree(particles, 3, UNIT)
         z, g, s = sorted_arrays(particles, tree)
-        vel, pairs = near_field(tree, z, g, s, POINT)
+        vel, pairs = near_field(tree, z, g, s, POINT, tree, z)
         expected, expected_pairs, _ = canonical_near(tree, z, g, s, POINT)
         for i in range(len(particles)):
             assert vel[i, 0] == expected[i, 0] and vel[i, 1] == expected[i, 1]
@@ -705,7 +713,7 @@ class TestNearField:
         particles = joined(generate_particles("uniform_random", n, 2), CORNERS)
         tree = build_tree(particles, levels, UNIT)
         z, g, s = sorted_arrays(particles, tree)
-        vel, pairs = near_field(tree, z, g, s, kind)
+        vel, pairs = near_field(tree, z, g, s, kind, tree, z)
         expected, expected_pairs, sizes = canonical_near(tree, z, g, s, kind)
         assert sizes.min() >= lo and (hi is None or sizes.max() <= hi)
         assert np.array_equal(vel, expected)
@@ -738,7 +746,7 @@ class TestNearField:
         particles = joined(patch, generate_particles("uniform_random", 300, 7, sigma=0.001))
         tree = build_tree(particles, 3, UNIT)
         z, g, s = sorted_arrays(particles, tree)
-        targets, at = tree, ()
+        targets, at = tree, (tree, z)
         if external:
             probes = [Particle(x, y, 0.0, 1.0) for x, y in np.random.default_rng(8).random((600, 2))]
             targets = build_tree(probes, 3, UNIT)

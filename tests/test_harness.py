@@ -97,11 +97,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="'distribution'"):
             run_sweep(SweepConfig((100,), (2,), (4,), (1,), distribution="uniform"), out)
         good = SweepConfig((100,), (2,), (4,), (1,))
-        # a non-integral count, depth or order, and a blob core whose 2 sigma^2 underflows, were
-        # accepted and failed (or gave NaN) only after the header was written
+        # a non-integral count, depth, order, sample size or map grid, and a blob core whose 2 sigma^2
+        # underflows, were accepted and failed (or gave NaN) only after the header was written
         for change, key in (({"sigma": 0.0}, "sigma"), ({"oracle_k": 0}, "oracle"), ({"p_values": (61,)}, "p"),
                             ({"n_values": (100.5,)}, "n"), ({"l_values": (2.5,)}, "levels"),
-                            ({"p_values": (True,)}, "p"),
+                            ({"p_values": (True,)}, "p"), ({"oracle_k": 2.5}, "oracle"), ({"oracle_k": True}, "oracle"),
+                            ({"map_grid": 2.5}, "map_grid"),
                             ({"kernel": "gaussian", "sigma": 1e-200}, "sigma")):
             with pytest.raises(ConfigError, match=f"'{key}'"):
                 dataclasses.replace(good, **change)
@@ -482,9 +483,10 @@ class TestSweepTreeWork:
             return harness._ParticleSet.generated("gaussian_patch", 300, 2, "point", DEFAULT_SIGMA, oracle_k)
 
         particle_set = fresh()
-        for p in (4, 12, 2):
+        # p = 5 and p = 12 each make the first stage again at their order, which p = 2 then takes a prefix of
+        for p, held in ((4, 4), (5, 5), (12, 12), (2, 12)):
             case, want = run_case(particle_set, 4, p), run_case(fresh(), 4, p)
-            assert particle_set.work.leaves.shape[1] == 5
+            assert particle_set.work.leaves.shape[1] == held + 1
             assert metric_cells([case.csv_row()]) == metric_cells([want.csv_row()])
             assert case.velocities.tobytes() == want.velocities.tobytes()
             assert case.report.bound_budget.tobytes() == want.report.bound_budget.tobytes()
@@ -578,9 +580,9 @@ class TestSampledRows:
             near.append((len(z_sorted), tree.levels, len(args[-1])))
             return near_field(tree, z_sorted, *args)
 
-        def counted_far(tree, locals_, z_sorted, **kwargs):
-            far.append((tree.levels, len(z_sorted)))
-            return far_field(tree, locals_, z_sorted, **kwargs)
+        def counted_far(work, locals_):
+            far.append((work.at.levels, len(work.zt_sorted)))
+            return far_field(work, locals_)
 
         monkeypatch.setattr(engine, "near_field", counted_near)
         monkeypatch.setattr(engine, "far_field", counted_far)
@@ -692,6 +694,16 @@ class TestRunSingle:
         assert calls == {}
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("map_grid", [2.5, True])
+    def test_non_integer_map_grid_fails_before_any_particle_is_made(self, tmp_path, monkeypatch, map_grid):
+        # 2.5 ran the oracle and the whole evaluation before the map failed, and True made a 1 x 1 map
+        made = []
+        monkeypatch.setattr(harness, "generate_particles", lambda *args: made.append(args))
+        with pytest.raises(TypeError, match="map_grid must be an integer"):
+            run_single(tmp_path / "out", n=500, levels=3, p=8, map_grid=map_grid)
+        assert made == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_particle_file_fails_before_the_output_directory_is_made(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("x,y,gamma,sigma\n0.1,0.2,nan,0.01\n0.5,0.5,0.3,0.01\n")
@@ -748,6 +760,16 @@ class TestTiming:
     def test_empty_or_zero_input_is_named(self, tmp_path, capsys, args, named):
         assert cli.main(["timing", *args, "--out", str(tmp_path / "t.csv")]) == 2
         assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("repeats", [2.5, True])
+    def test_non_integer_repeats_fail_before_any_evaluation(self, tmp_path, monkeypatch, repeats):
+        # 2.5 failed only after the first evaluation, and True ran as one repeat
+        calls = []
+        monkeypatch.setattr(harness, "evaluate", lambda *args: calls.append(args))
+        with pytest.raises(TypeError, match="repeats must be an integer"):
+            timing_study([64], p=3, levels=2, repeats=repeats, out_path=tmp_path / "t.csv")
+        assert calls == []
         assert list(tmp_path.iterdir()) == []
 
     def test_one_untimed_evaluation_per_n_before_the_timed_repeats(self, monkeypatch):
