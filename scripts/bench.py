@@ -19,10 +19,9 @@ the ``study.cfg`` slice of seed ``SEED`` (90 runs): its wall time and runs/s,
 the time spent in the oracle's ``velocity_direct`` calls and its share of the
 wall time and the oracle's source-target pairs, and likewise the time spent
 in ``engine.near_field``, ``engine.translate_pass``, the budget stage the
-harness calls (``engine._budgets_at``, or ``bound_budgets`` in checkouts
-that call it) and the first stage ``engine._tree_work`` (``t_first``, which
-holds the near field and, where the first stage takes it, P2M), each one's
-share and its number of calls, plus the number of M2L products
+harness calls (``engine._budgets_at``) and the first stage
+``engine._tree_work`` (``t_first``, which holds the near field and P2M),
+each one's share and its number of calls, plus the number of M2L products
 (``engine._translate_chunk`` calls).  A stage the sweep never called fails
 the measurement rather than read 0.  Every repeat
 runs in a fresh interpreter with one BLAS thread and keeps, per entry, each
@@ -45,7 +44,6 @@ and the number of pairs the head wins.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -118,11 +116,9 @@ def measure_field_probe() -> dict:
     gx, gy = np.meshgrid(axis, axis)
     targets = np.stack((gx.ravel(), gy.ravel()), axis=1)
     config = engine.FmmConfig(FIELD_PROBE["levels"], FIELD_PROBE["order"])
-    # as evaluate_at does: a first stage that takes P2M takes it at the run's order
-    order = {"order": config.order} if "order" in inspect.signature(engine._tree_work).parameters else {}
     calls = []
     for _ in range(CALLS + 1):
-        work = engine._tree_work(particles, config.levels, config.kernel, model.UNIT_DOMAIN, targets, **order)
+        work = engine._tree_work(particles, config.levels, config.kernel, model.UNIT_DOMAIN, targets, config.order)
         _, stats = engine._order_run(work, config.order)
         calls.append({phase: getattr(stats, phase) for phase in PHASES})
     oracle = []
@@ -142,11 +138,9 @@ def measure_sweep() -> dict:
     from vortexfmm import engine, harness
 
     config = dataclasses.replace(harness.parse_sweep_config(ROOT / "study.cfg"), seeds=(SEED,))
-    # (module, attribute, key): each wrapped where its callers look it up; a
-    # harness that imports bound_budgets calls it, a newer one engine._budgets_at
-    budgets = (harness, "bound_budgets") if hasattr(harness, "bound_budgets") else (engine, "_budgets_at")
-    wrapped = ((engine, "near_field", "near"), (engine, "translate_pass", "translate"), (*budgets, "budgets"),
-               (engine, "_tree_work", "first"))
+    # (module, attribute, key): each wrapped where its callers look it up
+    wrapped = ((engine, "near_field", "near"), (engine, "translate_pass", "translate"),
+               (engine, "_budgets_at", "budgets"), (engine, "_tree_work", "first"))
     originals = {key: getattr(module, name) for module, name, key in wrapped}
     direct, chunk = harness.velocity_direct, engine._translate_chunk
     totals: dict = {}

@@ -26,14 +26,16 @@ Passes, in order:
 
 The pipeline runs in two stages, split where the order enters.
 ``_tree_work`` does what depends only on the particles, targets and depth:
-the tree, the leaf-sorted arrays, the live cells' M2L rows
-(``_live_rows``, or none when every cell is live and the pass is the full
-one), the M2L count, the targets' offsets from their leaf centers, the sigma
-guard and the near field; and P2M, at the largest order its caller will
-run, since a leaf's multipole at order p is the first p + 1 coefficients of
-any longer one.  ``_order_run`` does the rest at one order: M2M from that
-prefix, M2L, L2L and the far field.  Each pass of the second stage reads
-its inputs from the first stage's ``_TreeWork``, and only from there.
+the tree, the leaf-sorted circulations, the live cells' M2L rows
+(``_live_rows``, the full stencil's when every cell is live), the targets'
+offsets from their leaf centers, the near field and P2M, at the largest
+order its caller will run, since a leaf's multipole at order p is the first
+p + 1 coefficients of any longer one.  It starts the run's
+``FmmRunStats``: the counters, the sigma guard and its own phases' times.
+``_order_run`` does the rest at one order: M2M from that prefix, M2L, L2L
+and the far field, and returns the record completed.  Each pass of the
+second stage reads its inputs from the first stage's ``_TreeWork``, and
+only from there.
 ``evaluate`` runs both with the particles themselves as targets at its
 order, ``evaluate_at`` at arbitrary targets binned into leaves, and a sweep
 runs the first stage once for all the orders of a tree, at the largest.
@@ -129,7 +131,7 @@ class FmmConfig:
         _check_kind(self.kernel)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FmmRunStats:
     """Phase timings (seconds) and exact operation counters for one run.
 
@@ -141,6 +143,11 @@ class FmmRunStats:
     recorded time of the first stage's P2M, taken at that stage's order (a
     sweep's largest), which counts in ``t_total`` too, as the build's and
     the near field's count in theirs.
+
+    The record is frozen.  The first stage makes one whose ``order`` is its
+    P2M order, ``t_upward`` its P2M time and ``t_total`` its build, near
+    field and P2M time, with no M2L, downward or evaluation time; the second
+    stage returns a new record, completed at its own order.
     """
 
     n: int
@@ -244,9 +251,10 @@ def _leaf_deltas(tree: Tree, z_sorted: np.ndarray) -> np.ndarray:
     return (z_sorted - tree.centers(tree.levels)[tree.sorted_leaf]) / tree.cell_side(tree.levels)
 
 
-def _leaf_multipoles(tree: Tree, z_sorted: np.ndarray, gamma_sorted: np.ndarray, order: int) -> np.ndarray:
+def _leaf_multipoles(tree: Tree, delta: np.ndarray, gamma_sorted: np.ndarray, order: int) -> np.ndarray:
     """P2M: a pass array at order ``order`` (see ``upward_pass``) whose leaf
-    level holds each leaf's multipole; every other row is zero.
+    level holds each leaf's multipole; every other row is zero.  ``delta``
+    holds the leaf-sorted particles' ``_leaf_deltas``.
 
     Column k depends on no higher power, and ``np.add.reduceat`` sums each
     power's row on its own, so the first p + 1 columns are bit for bit those
@@ -254,9 +262,8 @@ def _leaf_multipoles(tree: Tree, z_sorted: np.ndarray, gamma_sorted: np.ndarray,
     multipole is a prefix of a longer one).
     """
     levels, p = tree.levels, order
-    delta = _leaf_deltas(tree, z_sorted)
     # one contiguous row per power: row k is row k - 1 times delta
-    powers = np.empty((p + 1, len(z_sorted)), dtype=np.complex128)
+    powers = np.empty((p + 1, len(delta)), dtype=np.complex128)
     powers[0] = gamma_sorted / tree.cell_side(levels)
     for k in range(1, p + 1):
         np.multiply(powers[k - 1], delta, out=powers[k])
@@ -299,12 +306,13 @@ def upward_pass(work: _TreeWork, order: int) -> list:
 def translate_pass(work: _TreeWork, multipoles: list, order: int) -> tuple[list, int]:
     """Per-level local expansions (levels 2..leaf, in cell-side units) from
     every cell's interaction list, and the number of translations from
-    nonempty sources (empty ones add zero) into every cell, ``work.m2l_count``.
+    nonempty sources (empty ones add zero) into every cell,
+    ``work.stats.m2l_count``.
 
     Only the first stage's live cells, those holding a target, get their
     locals, through the rows ``work.live``; every other row is zero.  A live
     cell's parent is live, so a live leaf's completed local is the full
-    pass's.  When every cell is live, the pass is the full one.
+    pass's.  When every cell is live, the rows are the full stencil's.
 
     ``multipoles`` are views of ``upward_pass``'s array; the locals are views
     of one laid out alike.  Per parity class, one row per cell of every level
@@ -314,16 +322,16 @@ def translate_pass(work: _TreeWork, multipoles: list, order: int) -> tuple[list,
     and no two chunks write the same row: they may run in any order on any
     thread (see ``_run_chunks``).
     """
-    levels, p, live = work.tree.levels, order, work.live
+    levels, p = work.tree.levels, order
     _, m2l, _ = _translations(p)
     rows = max(1, _CHUNK_BYTES // (27 * (p + 1) * 16))
     mult = multipoles[levels].base
     # rows no chunk assigns are zero, so that L2L multiplies no uninitialised memory
-    loc = (np.empty if live is None else np.zeros)((len(mult) - 1, p + 1), dtype=np.complex128)
+    loc = np.zeros((len(mult) - 1, p + 1), dtype=np.complex128)
     chunks = [(mult, ids[a:a + rows], stacked, loc, dest[a:a + rows])
-              for (dest, ids), stacked in zip(live or _pass_stencil(levels), m2l) for a in range(0, len(dest), rows)]
+              for (dest, ids), stacked in zip(work.live, m2l) for a in range(0, len(dest), rows)]
     _run_chunks(chunks)
-    return _level_views(loc, levels), work.m2l_count
+    return _level_views(loc, levels), work.stats.m2l_count
 
 
 def _m2l_count(tree: Tree) -> int:
@@ -332,13 +340,13 @@ def _m2l_count(tree: Tree) -> int:
     return sum(int(np.count_nonzero(occupied[src])) for _, src in _pass_stencil(tree.levels))
 
 
-def _live_rows(targets: Tree) -> tuple | None:
+def _live_rows(targets: Tree) -> tuple:
     """Per ``_pass_stencil`` class, its ``(dest, src)`` rows of the live cells:
-    the cells of every level that hold a target of ``targets``.  ``None``
-    when every cell is live."""
+    the cells of every level that hold a target of ``targets``.  When every
+    cell is live, the ``_pass_stencil`` itself, not a copy."""
     live = np.concatenate(targets.counts[2:]) > 0
     if live.all():
-        return None
+        return _pass_stencil(targets.levels)
     return tuple((dest[keep], src[keep]) for dest, src in _pass_stencil(targets.levels) for keep in (live[dest],))
 
 
@@ -573,9 +581,9 @@ def _budget_factors(side: float, radius: float, order: int) -> tuple[np.ndarray,
     return classes
 
 
-def _budget_gather(tree: Tree, gamma_sorted: np.ndarray, live: tuple | None) -> tuple:
-    """The budgets' order-independent part, for the live cells' columns only
-    (``_live_rows``' rows, or every cell's when ``live`` is ``None``): their
+def _budget_gather(tree: Tree, gamma_sorted: np.ndarray, live: tuple) -> tuple:
+    """The budgets' order-independent part, for the columns of the rows
+    ``live`` only (``_live_rows``' or the whole ``_pass_stencil``'s): their
     read-only (27 x columns) amplitudes (summed |Gamma|, zero outside the
     domain) of each cell's sources, each column's ``_budget_factors`` index
     (class times the number of levels, plus the level above 2) and its row
@@ -586,11 +594,10 @@ def _budget_gather(tree: Tree, gamma_sorted: np.ndarray, live: tuple | None) -> 
     by_level[levels][:] = np.bincount(tree.sorted_leaf, np.abs(gamma_sorted), 4**levels)
     for level in range(levels, 2, -1):
         by_level[level - 1][:] = sum(_quadrants(by_level[level], level)).ravel()
-    rows = live or _pass_stencil(levels)
-    dest = np.concatenate([d for d, _ in rows])
+    dest = np.concatenate([d for d, _ in live])
     level = np.searchsorted([_level_start(level) for level in range(3, levels + 1)], dest, side="right")
-    factor = np.repeat(np.arange(4) * (levels - 1), [len(d) for d, _ in rows]) + level
-    gathered = np.ascontiguousarray(amp[np.concatenate([src for _, src in rows])].T)
+    factor = np.repeat(np.arange(4) * (levels - 1), [len(d) for d, _ in live]) + level
+    gathered = np.ascontiguousarray(amp[np.concatenate([src for _, src in live])].T)
     gathered.setflags(write=False)
     return gathered, factor, dest
 
@@ -633,34 +640,26 @@ def bound_budgets(tree: Tree, gamma: np.ndarray, order: int) -> np.ndarray:
     gather of its live cells for each depth and calls ``_budgets_at``, the
     same sum over fewer cells, for each order.
     """
-    return _budgets_at(tree, _budget_gather(tree, gamma[tree.order], None), order, tree)
+    return _budgets_at(tree, _budget_gather(tree, gamma[tree.order], _pass_stencil(tree.levels)), order, tree)
 
 
 class _TreeWork(NamedTuple):
-    """``_tree_work``'s result, what every pass reads: the particle tree,
-    sorted positions and circulations, the target tree, sorted targets and
-    their offsets from their leaves' centers in leaf sides (``far_field``'s),
-    its live M2L rows (``_live_rows``, ``translate_pass``'s), the count of
-    translations into every cell, the leaf multipoles (``_leaf_multipoles``,
-    ``upward_pass``'s, at the largest order the caller will run), the sigma
-    guard's verdict, the read-only sorted near field, the pair count of
-    evaluating every particle, build, near and P2M seconds."""
+    """``_tree_work``'s result, what every pass reads: the particle tree, the
+    sorted circulations, the target tree, the sorted targets' offsets from
+    their leaves' centers in leaf sides (``far_field``'s), the live M2L rows
+    (``_live_rows``, ``translate_pass``'s), the leaf multipoles
+    (``_leaf_multipoles``, ``upward_pass``'s, at the largest order the caller
+    will run), the read-only sorted near field, and the first stage's
+    ``FmmRunStats``, which ``_order_run`` completes."""
 
     tree: Tree
-    z_sorted: np.ndarray
     gamma_sorted: np.ndarray
     at: Tree
-    zt_sorted: np.ndarray
     zt_delta: np.ndarray
-    live: tuple | None
-    m2l_count: int
+    live: tuple
     leaves: np.ndarray
-    sigma_guard_ok: bool
     near_vel: np.ndarray
-    near_pairs: int
-    t_build: float
-    t_near: float
-    t_p2m: float
+    stats: FmmRunStats
 
 
 def _tree_work(particles: Particles | Sequence[Particle], levels: int, kernel: KernelKind,
@@ -680,12 +679,14 @@ def _tree_work(particles: Particles | Sequence[Particle], levels: int, kernel: K
     tree = build_tree(particles, levels, domain)
     z_sorted = (particles.x + 1j * particles.y)[tree.order]
     gamma_sorted = particles.gamma[tree.order]
+    delta = _leaf_deltas(tree, z_sorted)
     if targets is None:
-        at, zt_sorted = tree, z_sorted
+        at, zt_sorted, zt_delta = tree, z_sorted, delta
     else:
         at = _leaf_tree(targets[:, 0], targets[:, 1], levels, domain, "target")
         zt_sorted = (targets[:, 0] + 1j * targets[:, 1])[at.order]
-    live, m2l_count, zt_delta = _live_rows(at), _m2l_count(tree), _leaf_deltas(at, zt_sorted)
+        zt_delta = _leaf_deltas(at, zt_sorted)
+    live, m2l_count = _live_rows(at), _m2l_count(tree)
     t_build = time.perf_counter() - t0
 
     guard = tree.half_width(levels) / 2.0
@@ -704,21 +705,25 @@ def _tree_work(particles: Particles | Sequence[Particle], levels: int, kernel: K
     if at is not tree:  # the counter is that of evaluating every particle (see FmmRunStats)
         pairs = _neighbourhoods(tree, tree)[-1]
     t0 = time.perf_counter()
-    leaves = _leaf_multipoles(tree, z_sorted, gamma_sorted, order)
-    return _TreeWork(tree, z_sorted, gamma_sorted, at, zt_sorted, zt_delta, live, m2l_count, leaves,
-                     max_sigma <= guard, near_vel, pairs, t_build, t_near, time.perf_counter() - t0)
+    leaves = _leaf_multipoles(tree, delta, gamma_sorted, order)
+    t_p2m = time.perf_counter() - t0
+    stats = FmmRunStats(len(particles), levels, order, t_build=t_build, t_upward=t_p2m, t_near=t_near,
+                        t_total=t_build + t_near + t_p2m, m2l_count=m2l_count, near_pair_count=pairs,
+                        sigma_guard_ok=max_sigma <= guard)
+    return _TreeWork(tree, gamma_sorted, at, zt_delta, live, leaves, near_vel, stats)
 
 
 def _order_run(work: _TreeWork, order: int) -> tuple[np.ndarray, FmmRunStats]:
     """The second stage: M2M, M2L, L2L and the far field at order ``order``,
-    plus ``work``'s near field.  Returns (u, v) rows in target order and the
-    run statistics; ``t_total`` is this stage's time plus ``work``'s recorded
-    build, near-field and P2M time, the cost of a standalone run.  ``work``
-    must hold its leaf multipoles at ``order`` or above (see ``upward_pass``).
-    A velocity that is not finite raises ``ValueError`` naming its target."""
-    tree = work.tree
-    stats = FmmRunStats(len(work.z_sorted), tree.levels, order, t_build=work.t_build, t_near=work.t_near,
-                        m2l_count=work.m2l_count, near_pair_count=work.near_pairs, sigma_guard_ok=work.sigma_guard_ok)
+    plus ``work``'s near field.  Returns (u, v) rows in target order and a
+    new ``FmmRunStats`` completed from the first stage's ``work.stats``: its
+    counters and its build and near-field times, this stage's phases with
+    the recorded P2M time added to ``t_upward``, and a ``t_total`` of this
+    stage's time plus the first stage's, the cost of a standalone run.
+    ``work`` must hold its leaf multipoles at ``order`` or above (see
+    ``upward_pass``).  A velocity that is not finite raises ``ValueError``
+    naming its target."""
+    tree, first = work.tree, work.stats
     marks = [time.perf_counter()]
     multipoles = upward_pass(work, order)
     marks.append(time.perf_counter())
@@ -728,11 +733,12 @@ def _order_run(work: _TreeWork, order: int) -> tuple[np.ndarray, FmmRunStats]:
     marks.append(time.perf_counter())
     vel_sorted = expansions.f_to_velocity(far_field(work, locals_))
     marks.append(time.perf_counter())
-    stats.t_upward, stats.t_m2l, stats.t_downward, stats.t_eval = np.diff(marks).tolist()
-    stats.t_upward += work.t_p2m
+    t_upward, t_m2l, t_downward, t_eval = np.diff(marks).tolist()
     velocities = np.empty_like(vel_sorted)
     velocities[work.at.order] = vel_sorted + work.near_vel
-    stats.t_total = time.perf_counter() - marks[0] + work.t_build + work.t_near + work.t_p2m
+    t_total = time.perf_counter() - marks[0] + first.t_total
+    stats = FmmRunStats(first.n, first.levels, order, first.t_build, t_upward + first.t_upward, t_m2l, t_downward,
+                        t_eval, first.t_near, t_total, first.m2l_count, first.near_pair_count, first.sigma_guard_ok)
     return _check_finite(velocities, "velocity at target"), stats
 
 

@@ -211,7 +211,8 @@ class _ParticleSet:
     multipoles at ``order``, the highest order its runs will take (or the
     run's, if higher), and the live cells' bound budget amplitudes,
     ``engine._budget_gather``, both made again when the depth changes or a
-    run asks for an order above the one held.  All of it is exact: results
+    run asks for an order above the one held, the order of the first stage's
+    record (``work.stats.order``).  All of it is exact: results
     are bit for bit a standalone run's, and a sampled target's velocity and
     budget are bit for bit those of an evaluation of every particle at one
     BLAS thread.
@@ -247,7 +248,7 @@ class _ParticleSet:
     def at_depth(self, levels: int, order: int) -> tuple[engine._TreeWork, tuple]:
         """The first stage and the budget gather at depth ``levels``, holding the leaf multipoles at
         ``order`` or above."""
-        if self.work is None or self.work.tree.levels != levels or self.work.leaves.shape[1] <= order:
+        if self.work is None or self.work.tree.levels != levels or self.work.stats.order < order:
             # a sampled oracle scores its sample alone, so the runs evaluate there alone
             targets = self.targets if self.sampled else None
             work = engine._tree_work(self.particles, levels, self.kind, self.domain, targets, max(self.order, order))
@@ -259,27 +260,24 @@ class _ParticleSet:
 class CaseResult:
     """What one (levels, p) run on a particle set computed; the rest is the set's.
 
-    ``velocities`` are the set's oracle targets' rows, in sample order: the k
-    sampled particles' when the set samples, otherwise every particle's.  The
-    counters describe evaluating every particle (see ``FmmRunStats``).
+    ``stats`` is the run's ``FmmRunStats``: its depth, order, timings and
+    counters, which describe evaluating every particle.  ``velocities`` are
+    the set's oracle targets' rows, in sample order: the k sampled
+    particles' when the set samples, otherwise every particle's.
     """
 
     particle_set: _ParticleSet
-    levels: int
-    p: int
     report: errorlab.ErrorReport
     violations: int
-    t_fmm_ms: float
-    m2l_count: int
-    near_pair_count: int
+    stats: engine.FmmRunStats
     velocities: np.ndarray
 
     def csv_row(self) -> str:
-        rep, pset = self.report, self.particle_set
+        rep, pset, stats = self.report, self.particle_set, self.stats
         fields = [
             str(len(pset.particles)),
-            str(self.levels),
-            str(self.p),
+            str(stats.levels),
+            str(stats.order),
             str(pset.seed),
             pset.distribution,
             pset.kernel,
@@ -288,10 +286,10 @@ class CaseResult:
             "NA" if math.isnan(rep.rms_rel) else format(rep.rms_rel, ".10g"),
             str(self.violations),
             str(pset.sampled),
-            format(self.t_fmm_ms, ".3f"),
+            format(stats.t_total * 1e3, ".3f"),
             format(pset.t_direct_ms, ".3f"),
-            str(self.m2l_count),
-            str(self.near_pair_count),
+            str(stats.m2l_count),
+            str(stats.near_pair_count),
             GENERATOR_ID,
         ]
         return ",".join(fields)
@@ -305,18 +303,7 @@ def run_case(particle_set: _ParticleSet, levels: int, p: int) -> CaseResult:
     velocities, stats = engine._order_run(work, config.order)
     budgets = engine._budgets_at(work.tree, gathered, config.order, work.at)
     report = errorlab.compare(velocities, particle_set.direct, particle_set.targets, budgets)
-    violations = len(errorlab.bound_check(report))
-    return CaseResult(
-        particle_set=particle_set,
-        levels=levels,
-        p=p,
-        report=report,
-        violations=violations,
-        t_fmm_ms=stats.t_total * 1e3,
-        m2l_count=stats.m2l_count,
-        near_pair_count=stats.near_pair_count,
-        velocities=velocities,
-    )
+    return CaseResult(particle_set, report, len(errorlab.bound_check(report)), stats, velocities)
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +318,12 @@ class SingleSummary:
 
     def line(self) -> str:
         case, rep = self.case, self.case.report
-        t_direct_ms = case.particle_set.t_direct_ms
-        ratio = case.t_fmm_ms / t_direct_ms if t_direct_ms > 0 else math.nan
+        t_fmm_ms, t_direct_ms = case.stats.t_total * 1e3, case.particle_set.t_direct_ms
+        ratio = t_fmm_ms / t_direct_ms if t_direct_ms > 0 else math.nan
         rel = "NA" if math.isnan(rep.max_rel) else format(rep.max_rel, ".3e")
         return (
             f"max_rel={rel} max_abs={rep.max_abs:.3e} bound_violations={case.violations} "
-            f"t_fmm={case.t_fmm_ms:.1f}ms t_direct={t_direct_ms:.1f}ms "
+            f"t_fmm={t_fmm_ms:.1f}ms t_direct={t_direct_ms:.1f}ms "
             f"t_fmm/t_direct={ratio:.3f}"
         )
 

@@ -591,12 +591,12 @@ class TestTranslatePass:
         assert stdout == "done\n"
 
     def test_every_cell_live_runs_the_full_pass(self, monkeypatch):
-        # field_probe's grid: a target in every leaf, so nothing is pruned or zero-filled
+        # field_probe's grid: a target in every leaf, so the rows are the full stencil and nothing is pruned
         axis = (np.arange(16) + 0.5) / 16
         gx, gy = np.meshgrid(axis, axis)
         grid = np.stack((gx.ravel(), gy.ravel()), axis=1)
         work = first_stage(generate_particles("uniform_random", 500, 2), 4, 9, grid)
-        assert work.live is None
+        assert work.live is engine._pass_stencil(4)
         mult = upward_pass(work, 9)
         dests = []
         chunk = engine._translate_chunk
@@ -843,6 +843,28 @@ class TestEvaluate:
         )
         assert stats.t_total >= 0.95 * phase_sum
         assert len(vel) == 512
+
+    @pytest.mark.parametrize("sampled", [True, False])
+    def test_each_run_completes_a_new_record_from_the_first_stages(self, sampled):
+        particles = generate_particles("gaussian_patch", 600, 5)
+        targets = np.stack((particles.x, particles.y), axis=1)[::7] if sampled else None
+        work = engine._tree_work(particles, 4, POINT, UNIT, targets, 20)
+        first = work.stats
+        recorded = dataclasses.astuple(first)
+        assert (first.order, first.t_m2l, first.t_downward, first.t_eval) == (20, 0.0, 0.0, 0.0)
+        assert first.t_total == first.t_build + first.t_near + first.t_upward
+        counted = ("n", "levels", "m2l_count", "near_pair_count", "sigma_guard_ok")
+        for order in (20, 4):
+            _, stats = engine._order_run(work, order)
+            want = evaluate(particles, FmmConfig(4, order), UNIT)[1]
+            assert stats.order == order
+            assert [getattr(stats, f) for f in counted] == [getattr(want, f) for f in counted]
+            assert (stats.t_build, stats.t_near) == (first.t_build, first.t_near)
+            assert stats.t_upward >= first.t_upward
+            assert stats.t_total >= first.t_total
+        assert dataclasses.astuple(work.stats) == recorded
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stats.t_total = 0.0
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):

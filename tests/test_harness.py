@@ -469,9 +469,9 @@ class TestSweepTreeWork:
         p2m = collections.Counter()
         leaf_multipoles = engine._leaf_multipoles
 
-        def counted(tree, z_sorted, gamma_sorted, order):
+        def counted(tree, delta, gamma_sorted, order):
             p2m[len(gamma_sorted), tree.levels, seeds[len(gamma_sorted), float(gamma_sorted.min())], order] += 1
-            return leaf_multipoles(tree, z_sorted, gamma_sorted, order)
+            return leaf_multipoles(tree, delta, gamma_sorted, order)
 
         monkeypatch.setattr(engine, "_leaf_multipoles", counted)
         run_sweep(config, tmp_path / "rows.csv")
@@ -551,7 +551,7 @@ class TestSampledRows:
                             want, stats = engine.evaluate(particle_set.particles,
                                                           engine.FmmConfig(levels, p, particle_set.kind), UNIT_DOMAIN)
                             if (case.velocities.tobytes() != want[particle_set.sample].tobytes()
-                                    or (case.m2l_count, case.near_pair_count) != (stats.m2l_count, stats.near_pair_count)):
+                                    or (case.stats.m2l_count, case.stats.near_pair_count) != (stats.m2l_count, stats.near_pair_count)):
                                 print(kernel, distribution, levels, p)
             print("done")
         """, OPENBLAS_NUM_THREADS="1")
@@ -581,7 +581,7 @@ class TestSampledRows:
             return near_field(tree, z_sorted, *args)
 
         def counted_far(work, locals_):
-            far.append((work.at.levels, len(work.zt_sorted)))
+            far.append((work.at.levels, len(work.zt_delta)))
             return far_field(work, locals_)
 
         monkeypatch.setattr(engine, "near_field", counted_near)
@@ -609,7 +609,7 @@ class TestSampledRows:
         assert len(np.concatenate(live)) < 0.4 * engine._level_start(6)
         assert len(case.velocities) == 200
         # the count is still that of translations into every cell
-        assert case.m2l_count == evaluate(particle_set.particles, FmmConfig(5, 8), UNIT_DOMAIN)[1].m2l_count
+        assert case.stats.m2l_count == evaluate(particle_set.particles, FmmConfig(5, 8), UNIT_DOMAIN)[1].m2l_count
 
 
 class TestRunSingle:
