@@ -6,13 +6,16 @@
 For N = 4096, 16384, 65536 and 131072 uniform particles, at the occupancy
 depth (8 particles per leaf), order 8 and both kernels, it times every
 ``FmmRunStats`` phase plus ``velocity_direct`` of 512 targets against the same
-N sources.  The rows ``DENSE`` (keys ``<kernel>/<N>_d<depth>``) do the same
-at 64 particles per leaf, 4096 at depth 3 and 16384 at depth 4, where the
-near field computes every leaf as one targets x sources block; at 8 per
-leaf no leaf has enough pairs for that.  It times every phase of
-``evaluate_at`` at the shape of perfbench's field_probe (``FIELD_PROBE``:
-4096 sources, depth 6, order 40, a 128 x 128 grid of cell-centred
-targets), and that workload's set-up oracle
+N sources, and each call's wall time (``t_wall``): a run whose near field
+overlaps M2L on the chunk pool returns sooner than the sum of its phases,
+which ``t_total`` reports.  The rows ``DENSE`` (keys
+``<kernel>/<N>_d<depth>``) do the same at 64 particles per leaf, 4096 at
+depth 3 and 16384 at depth 4, where the near field computes every leaf as
+one targets x sources block; at 8 per leaf no leaf has enough pairs for
+that.  It times every phase of ``evaluate_at``, and its wall time, at the
+shape of perfbench's field_probe (``FIELD_PROBE``: 4096 sources, depth 6,
+order 40, a 128 x 128 grid of cell-centred targets), and that workload's
+set-up oracle
 as ``t_oracle``: ``velocity_direct`` of 4096 of the grid targets (every
 fourth) against the 4096 sources.  It also times ``run_sweep`` over
 the ``study.cfg`` slice of seed ``SEED`` (90 runs): its wall time and runs/s,
@@ -93,8 +96,9 @@ def measure_once() -> dict:
             kind = KernelKind(name)
             calls = []
             for _ in range(CALLS):
+                t0 = time.perf_counter()
                 _, stats = engine.evaluate(particles, engine.FmmConfig(levels, ORDER, kind), model.UNIT_DOMAIN)
-                row = {phase: getattr(stats, phase) for phase in PHASES}
+                row = {"t_wall": time.perf_counter() - t0, **{phase: getattr(stats, phase) for phase in PHASES}}
                 t0 = time.perf_counter()
                 kernels.velocity_direct(targets, particles, kind)
                 row["t_velocity_direct"] = time.perf_counter() - t0
@@ -106,8 +110,8 @@ def measure_once() -> dict:
 
 
 def measure_field_probe() -> dict:
-    """Every phase of ``evaluate_at`` at the ``FIELD_PROBE`` shape, min over ``CALLS`` calls after one
-    warm-up, and ``t_oracle``, min over ``CALLS`` calls."""
+    """Every phase of ``evaluate_at`` at the ``FIELD_PROBE`` shape and its wall time ``t_wall``, min over
+    ``CALLS`` calls after one warm-up, and ``t_oracle``, min over ``CALLS`` calls."""
     import numpy as np
     from vortexfmm import engine, kernels, model
 
@@ -118,15 +122,16 @@ def measure_field_probe() -> dict:
     config = engine.FmmConfig(FIELD_PROBE["levels"], FIELD_PROBE["order"])
     calls = []
     for _ in range(CALLS + 1):
+        t0 = time.perf_counter()
         work = engine._tree_work(particles, config.levels, config.kernel, model.UNIT_DOMAIN, targets, config.order)
         _, stats = engine._order_run(work, config.order)
-        calls.append({phase: getattr(stats, phase) for phase in PHASES})
+        calls.append({"t_wall": time.perf_counter() - t0, **{phase: getattr(stats, phase) for phase in PHASES}})
     oracle = []
     for _ in range(CALLS):
         t0 = time.perf_counter()
         kernels.velocity_direct(targets[::4], particles, config.kernel)
         oracle.append(time.perf_counter() - t0)
-    return {**{key: min(row[key] for row in calls[1:]) for key in PHASES}, "t_oracle": min(oracle),
+    return {**{key: min(row[key] for row in calls[1:]) for key in calls[0]}, "t_oracle": min(oracle),
             "levels": FIELD_PROBE["levels"]}
 
 

@@ -44,6 +44,17 @@ domain side outside ``kernels._SCALE_WINDOW``, where float64 cannot square
 the near field's separations, and blob cores whose 2 sigma^2 underflows;
 the second raises rather than return a velocity that is not finite.
 
+The near field and the far field read nothing of each other, so they may
+run at once (Greengard & Rokhlin 1987).  When the M2L pass at the first
+stage's order will use the chunk pool and holds enough BLAS work to hide the
+near field behind (``_overlaps``, below), the first stage hands the near
+field to the pool, and the calling thread goes on with P2M, M2M and its
+share of M2L; the pool thread takes M2L chunks once the near field is done,
+and ``_order_run`` waits for it only where it adds it in.  Any other run, a
+sampled study sweep's or a low-order ``evaluate`` among them, computes the
+near field on the calling thread, inline.  Either way the same function runs
+on the same read-only arrays, so the velocities are the same bit for bit.
+
 Every coefficient is stored in units of its own cell side h: a multipole as
 a_k / h^(k+1), so that P2M sums (Gamma / h) ((z - c) / h)^k, and a local as
 L_m h^m, evaluated at (z - c) / h.  A translation then depends only on the
@@ -69,7 +80,8 @@ product's shape.
 The chunks of a pass go in one list.  The calling thread takes them one at a
 time, and when two or more are full (``_CHUNK_BYTES`` each) so does a pool of
 one thread per core the process may use besides the caller's, made on first
-use; smaller passes run on the calling thread alone.  Each chunk assigns rows
+use, after any near field the run handed it; smaller passes run on the
+calling thread alone.  Each chunk assigns rows
 no other chunk writes, so the output does not depend on the
 number of workers, on which thread ran which chunk or on which cells are
 live, only on the BLAS library and its thread count per product (a lone row
@@ -94,7 +106,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -138,16 +150,23 @@ class FmmRunStats:
     The counters describe evaluating every particle, whichever targets the
     run evaluated at: ``m2l_count`` is the number of translations from
     nonempty sources into every cell, ``near_pair_count`` the number of
-    ordered near-field pairs of every particle, never with itself.  The
-    timings are the run's own, at its targets.  ``t_upward`` is M2M plus the
-    recorded time of the first stage's P2M, taken at that stage's order (a
-    sweep's largest), which counts in ``t_total`` too, as the build's and
-    the near field's count in theirs.
+    ordered near-field pairs of every particle, never with itself.  Both
+    come from the tree's occupancy alone (``_m2l_count``, ``_near_pairs``).
+    The timings are the run's own, at its targets.  ``t_upward`` is M2M
+    plus the recorded time of the first stage's P2M, taken at that stage's
+    order (a sweep's largest), which counts in ``t_total`` too, as the
+    build's and the near field's count in theirs.
+
+    ``t_total`` is the run's serial cost, the sum of its phases and the
+    steps between them.  A run whose near field went to the chunk pool (see
+    ``_tree_work``) timed it there, and overlapped it with P2M, M2M and
+    M2L, so such a call returns sooner than its ``t_total``.
 
     The record is frozen.  The first stage makes one whose ``order`` is its
     P2M order, ``t_upward`` its P2M time and ``t_total`` its build, near
-    field and P2M time, with no M2L, downward or evaluation time; the second
-    stage returns a new record, completed at its own order.
+    field and P2M time, with no M2L, downward or evaluation time, and no
+    near-field time when the near field went to the pool; the second stage
+    returns a new record, completed at its own order.
     """
 
     n: int
@@ -324,20 +343,41 @@ def translate_pass(work: _TreeWork, multipoles: list, order: int) -> tuple[list,
     """
     levels, p = work.tree.levels, order
     _, m2l, _ = _translations(p)
-    rows = max(1, _CHUNK_BYTES // (27 * (p + 1) * 16))
+    rows = _chunk_rows(p)
     mult = multipoles[levels].base
     # rows no chunk assigns are zero, so that L2L multiplies no uninitialised memory
     loc = np.zeros((len(mult) - 1, p + 1), dtype=np.complex128)
     chunks = [(mult, ids[a:a + rows], stacked, loc, dest[a:a + rows])
               for (dest, ids), stacked in zip(work.live, m2l) for a in range(0, len(dest), rows)]
-    _run_chunks(chunks)
+    _run_chunks(chunks, _pooled(work.live, p))
     return _level_views(loc, levels), work.stats.m2l_count
 
 
+@functools.lru_cache(maxsize=None)
+def _in_degree(levels: int) -> np.ndarray:
+    """Per cell of levels 2..``levels``, as rows of a pass array: the number
+    of ``_pass_stencil`` rows that read it as a source, read-only."""
+    zero = _level_start(levels + 1)
+    degree = np.bincount(np.concatenate([src.ravel() for _, src in _pass_stencil(levels)]), minlength=zero + 1)[:zero]
+    degree.setflags(write=False)
+    return degree
+
+
 def _m2l_count(tree: Tree) -> int:
-    """The number of M2L translations from nonempty sources into every cell of levels 2..leaf."""
-    occupied = np.concatenate([*tree.counts[2:], [0]]) > 0
-    return sum(int(np.count_nonzero(occupied[src])) for _, src in _pass_stencil(tree.levels))
+    """The number of M2L translations from nonempty sources into every cell of
+    levels 2..leaf: each nonempty cell's ``_in_degree``, summed."""
+    return int(_in_degree(tree.levels) @ (np.concatenate(tree.counts[2:]) > 0))
+
+
+def _near_pairs(tree: Tree, at: Tree) -> tuple[int, int]:
+    """The numbers of ordered near-field pairs of every particle, never with
+    itself, and of the targets of ``at``: per leaf, its particles or targets
+    times the particles of its 3 x 3 block of leaves, summed."""
+    m, counts = 2**tree.levels, tree.counts[tree.levels]
+    padded = np.pad(counts.reshape(m, m), 1)
+    rows = padded[:, :-2] + padded[:, 1:-1] + padded[:, 2:]
+    block = (rows[:-2] + rows[1:-1] + rows[2:]).ravel()
+    return int(counts @ block) - len(tree.order), int(at.counts[at.levels] @ block)
 
 
 def _live_rows(targets: Tree) -> tuple:
@@ -381,10 +421,45 @@ def _chunk_pool() -> tuple[ThreadPoolExecutor | None, int]:
         return _pool, _pool_workers
 
 
-def _run_chunks(chunks: list) -> None:
+def _chunk_rows(order: int) -> int:
+    """Cells per M2L chunk at ``order``: a full chunk's gathered coefficients
+    fit in ``_CHUNK_BYTES``, and one more cell's would not."""
+    return max(1, _CHUNK_BYTES // (27 * (order + 1) * 16))
+
+
+def _pooled(live: tuple, order: int) -> bool:
+    """The chunk pool's rule: an M2L pass at ``order`` over the rows ``live``
+    (per class, ``(dest, src)``) uses the pool when two or more of its chunks
+    are full (``_chunk_rows`` cells each).  ``translate_pass`` applies it to
+    its own pass, and ``_overlaps`` to the pass at the first stage's order."""
+    rows = _chunk_rows(order)
+    return sum(len(dest) // rows for dest, _ in live) >= 2
+
+
+#: M2L multiply-adds per near-field pair from which the near field overlaps
+#: M2L (see ``_overlaps``)
+_OVERLAP_MACS = 24
+
+
+def _overlaps(live: tuple, order: int, near_pairs: int) -> bool:
+    """Whether the first stage hands a near field of ``near_pairs`` pairs to
+    the chunk pool: when the M2L pass at ``order`` over the rows ``live``
+    uses the pool (``_pooled``) and holds at least ``_OVERLAP_MACS``
+    multiply-adds, 27 (order + 1)^2 per cell, per near-field pair.
+
+    The calling thread hides the near field behind M2L's BLAS products,
+    which release the interpreter lock.  Where they are few next to the
+    near field's pairs (at low order, 5-20 multiply-adds per pair), the two
+    threads only contend for the lock: the call is no faster, its phases
+    take longer, and at 5 per pair the call took up to 20% longer.  From
+    about 27 per pair the overlap paid (``BENCH_near_overlap.json``)."""
+    cells = sum(len(dest) for dest, _ in live)
+    return _pooled(live, order) and cells * 27 * (order + 1) ** 2 >= _OVERLAP_MACS * near_pairs
+
+
+def _run_chunks(chunks: list, pooled: bool) -> None:
     """``_translate_chunk`` on every chunk, taken one at a time by the calling
-    thread and, when two or more chunks are full (one more row would pass
-    ``_CHUNK_BYTES`` of gathered coefficients), by the chunk pool's threads.
+    thread and, when ``pooled`` (see ``_pooled``), by the chunk pool's threads.
 
     Each chunk writes rows no other chunk touches, and numpy's gathers and
     BLAS products release the interpreter lock, so the chunks run in parallel
@@ -395,7 +470,6 @@ def _run_chunks(chunks: list) -> None:
     no more work, so the caller runs every chunk itself.
     """
     pending = list(chunks)
-    full = sum((len(ids) + 1) * len(stacked) * stacked.itemsize > _CHUNK_BYTES for _, ids, stacked, _, _ in chunks)
     lock = threading.Lock()
 
     def drain() -> None:
@@ -408,7 +482,7 @@ def _run_chunks(chunks: list) -> None:
 
     futures = []
     try:
-        pool, workers = _chunk_pool() if full >= 2 else (None, 0)
+        pool, workers = _chunk_pool() if pooled else (None, 0)
         for _ in range(min(workers, len(chunks) - 1)):
             futures.append(pool.submit(drain))
     except RuntimeError:  # the interpreter is exiting: no pool is made and none takes work
@@ -612,7 +686,10 @@ def _budgets_at(tree: Tree, gathered: tuple, order: int, at: Tree) -> np.ndarray
     per_column = np.stack([f[c] for c in range(4) for f in factors], axis=1)[:, factor]
     # a cell that is not live reads zero, and so adds nothing to its children
     budget = np.zeros(_level_start(levels + 1))
-    budget[dest] = functools.reduce(np.add, amp * per_column)
+    # the 27 rows are added in turn, a per-offset loop's order; numpy would
+    # sum a lone column pairwise, so it is reduced as two
+    terms = amp * per_column if len(dest) > 1 else np.repeat(amp * per_column, 2, axis=1)
+    budget[dest] = np.add.reduce(terms, axis=0)[:len(dest)]
     by_level = _level_views(budget, levels)
     for level in range(3, levels + 1):
         for q in _quadrants(by_level[level], level):
@@ -649,8 +726,10 @@ class _TreeWork(NamedTuple):
     their leaves' centers in leaf sides (``far_field``'s), the live M2L rows
     (``_live_rows``, ``translate_pass``'s), the leaf multipoles
     (``_leaf_multipoles``, ``upward_pass``'s, at the largest order the caller
-    will run), the read-only sorted near field, and the first stage's
-    ``FmmRunStats``, which ``_order_run`` completes."""
+    will run), ``near``, a call that returns the read-only sorted near field
+    and its time (``_near_timed``'s), waiting for the chunk pool when the
+    near field runs there, and the first stage's ``FmmRunStats``, which
+    ``_order_run`` completes."""
 
     tree: Tree
     gamma_sorted: np.ndarray
@@ -658,8 +737,26 @@ class _TreeWork(NamedTuple):
     zt_delta: np.ndarray
     live: tuple
     leaves: np.ndarray
-    near_vel: np.ndarray
+    near: Callable[[], tuple[np.ndarray, float]]
     stats: FmmRunStats
+
+
+def _near_timed(*args) -> tuple[np.ndarray, float]:
+    """``near_field(*args)``'s velocities, read-only, and its time."""
+    t0 = time.perf_counter()
+    vel, _ = near_field(*args)
+    vel.setflags(write=False)
+    return vel, time.perf_counter() - t0
+
+
+def _submit_near(args: tuple) -> Callable[[], tuple[np.ndarray, float]] | None:
+    """``_near_timed(*args)`` handed to the chunk pool, as its future's
+    ``result``; ``None`` where there is no pool or it takes no work."""
+    try:
+        pool, _ = _chunk_pool()
+        return None if pool is None else pool.submit(_near_timed, *args).result
+    except RuntimeError:  # the interpreter is exiting: no pool is made and none takes work
+        return None
 
 
 def _tree_work(particles: Particles | Sequence[Particle], levels: int, kernel: KernelKind,
@@ -667,7 +764,14 @@ def _tree_work(particles: Particles | Sequence[Particle], levels: int, kernel: K
     """The first stage: everything that does not depend on the order, and the
     leaf multipoles at ``order``, of which every lower order's are a prefix.
     Targets are the particles when ``targets`` ((M, 2) positions) is
-    ``None``."""
+    ``None``.
+
+    When the M2L pass at ``order`` will use the chunk pool and outweighs the
+    near field (``_overlaps``), the near field goes to the pool, and the
+    caller goes on with P2M, M2M and its share of M2L; the pool thread joins
+    M2L once the near field is done.  The record then holds no near-field
+    time (``t_near`` 0), which ``_order_run`` adds.  Otherwise, or when the
+    pool takes no work, the near field runs here, inline."""
     if not particles:
         raise ValueError("need at least one particle")
     t0 = time.perf_counter()
@@ -686,7 +790,7 @@ def _tree_work(particles: Particles | Sequence[Particle], levels: int, kernel: K
         at = _leaf_tree(targets[:, 0], targets[:, 1], levels, domain, "target")
         zt_sorted = (targets[:, 0] + 1j * targets[:, 1])[at.order]
         zt_delta = _leaf_deltas(at, zt_sorted)
-    live, m2l_count = _live_rows(at), _m2l_count(tree)
+    live = _live_rows(at)
     t_build = time.perf_counter() - t0
 
     guard = tree.half_width(levels) / 2.0
@@ -698,31 +802,35 @@ def _tree_work(particles: Particles | Sequence[Particle], levels: int, kernel: K
             stacklevel=3,
         )
 
-    t0 = time.perf_counter()
-    near_vel, pairs = near_field(tree, z_sorted, gamma_sorted, particles.sigma[tree.order], kernel, at, zt_sorted)
-    near_vel.setflags(write=False)
-    t_near = time.perf_counter() - t0
-    if at is not tree:  # the counter is that of evaluating every particle (see FmmRunStats)
-        pairs = _neighbourhoods(tree, tree)[-1]
+    pair_count, near_pairs = _near_pairs(tree, at)
+    args = (tree, z_sorted, gamma_sorted, particles.sigma[tree.order], kernel, at, zt_sorted)
+    near = _submit_near(args) if _overlaps(live, order, near_pairs) else None
+    t_near = 0.0
+    if near is None:
+        done = _near_timed(*args)
+        near, t_near = lambda: done, done[1]
     t0 = time.perf_counter()
     leaves = _leaf_multipoles(tree, delta, gamma_sorted, order)
     t_p2m = time.perf_counter() - t0
+    # the counters are those of evaluating every particle (see FmmRunStats)
     stats = FmmRunStats(len(particles), levels, order, t_build=t_build, t_upward=t_p2m, t_near=t_near,
-                        t_total=t_build + t_near + t_p2m, m2l_count=m2l_count, near_pair_count=pairs,
-                        sigma_guard_ok=max_sigma <= guard)
-    return _TreeWork(tree, gamma_sorted, at, zt_delta, live, leaves, near_vel, stats)
+                        t_total=t_build + t_near + t_p2m, m2l_count=_m2l_count(tree),
+                        near_pair_count=pair_count, sigma_guard_ok=max_sigma <= guard)
+    return _TreeWork(tree, gamma_sorted, at, zt_delta, live, leaves, near, stats)
 
 
 def _order_run(work: _TreeWork, order: int) -> tuple[np.ndarray, FmmRunStats]:
     """The second stage: M2M, M2L, L2L and the far field at order ``order``,
-    plus ``work``'s near field.  Returns (u, v) rows in target order and a
-    new ``FmmRunStats`` completed from the first stage's ``work.stats``: its
-    counters and its build and near-field times, this stage's phases with
-    the recorded P2M time added to ``t_upward``, and a ``t_total`` of this
-    stage's time plus the first stage's, the cost of a standalone run.
-    ``work`` must hold its leaf multipoles at ``order`` or above (see
-    ``upward_pass``).  A velocity that is not finite raises ``ValueError``
-    naming its target."""
+    plus ``work``'s near field, waited for only where it is added in.
+    Returns (u, v) rows in target order and a new ``FmmRunStats`` completed
+    from the first stage's ``work.stats``: its counters and its build time,
+    the near field's time, this stage's phases with the recorded P2M time
+    added to ``t_upward``, and a ``t_total`` of this stage's time, less any
+    wait for the near field, plus the first stage's and the near field's
+    time, the cost of a standalone serial run.  ``work`` must hold its leaf
+    multipoles at ``order`` or above (see ``upward_pass``).  A velocity that
+    is not finite raises ``ValueError`` naming its target, and an error
+    raised by a pooled near field is raised here."""
     tree, first = work.tree, work.stats
     marks = [time.perf_counter()]
     multipoles = upward_pass(work, order)
@@ -734,11 +842,14 @@ def _order_run(work: _TreeWork, order: int) -> tuple[np.ndarray, FmmRunStats]:
     vel_sorted = expansions.f_to_velocity(far_field(work, locals_))
     marks.append(time.perf_counter())
     t_upward, t_m2l, t_downward, t_eval = np.diff(marks).tolist()
+    near_vel, t_near = work.near()
+    t_wait = time.perf_counter() - marks[-1]
     velocities = np.empty_like(vel_sorted)
-    velocities[work.at.order] = vel_sorted + work.near_vel
-    t_total = time.perf_counter() - marks[0] + first.t_total
+    velocities[work.at.order] = vel_sorted + near_vel
+    # the first stage's record holds the near field's time unless it was pooled
+    t_total = time.perf_counter() - marks[0] - t_wait + first.t_total + (t_near - first.t_near)
     stats = FmmRunStats(first.n, first.levels, order, first.t_build, t_upward + first.t_upward, t_m2l, t_downward,
-                        t_eval, first.t_near, t_total, first.m2l_count, first.near_pair_count, first.sigma_guard_ok)
+                        t_eval, t_near, t_total, first.m2l_count, first.near_pair_count, first.sigma_guard_ok)
     return _check_finite(velocities, "velocity at target"), stats
 
 

@@ -886,6 +886,129 @@ class TestEvaluate:
             evaluate(particles, FmmConfig(3, 6, kind), domain)
 
 
+def field_probe_shape():
+    """perfbench field_probe's inputs: 4096 uniform sources, depth 6, order 40
+    and a 128 x 128 grid of cell-centred targets, where M2L runs pooled."""
+    axis = (np.arange(128) + 0.5) / 128
+    targets = np.stack([a.ravel() for a in np.meshgrid(axis, axis)], axis=1)
+    return targets, generate_particles("uniform_random", 4096, 1), FmmConfig(6, 40)
+
+
+class TestNearFieldOverlap:
+    """A run whose M2L pass uses the chunk pool computes its near field there."""
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        # one chunk thread on any machine, as on two cores
+        with ThreadPoolExecutor(1) as pool:
+            monkeypatch.setattr(engine, "_chunk_pool", lambda: (pool, 1))
+            yield pool
+
+    @staticmethod
+    def near_threads(monkeypatch):
+        """Patch ``engine.near_field`` to record the thread of every call."""
+        threads, near = [], engine.near_field
+
+        def recorded(*args):
+            threads.append(threading.get_ident())
+            return near(*args)
+
+        monkeypatch.setattr(engine, "near_field", recorded)
+        return threads
+
+    def test_the_overlap_rule(self):
+        targets, particles, config = field_probe_shape()
+        work = engine._tree_work(particles, config.levels, config.kernel, UNIT, targets, config.order)
+        pairs = engine._near_pairs(work.tree, work.at)[1]
+        assert engine._pooled(work.live, config.order) and engine._overlaps(work.live, config.order, pairs)
+        # one target: a handful of live cells, far from two full chunks
+        one = engine._live_rows(build_tree([particle_list(particles)[0]], 6, UNIT))
+        assert not engine._pooled(one, config.order) and not engine._overlaps(one, config.order, 0)
+        # a pooled M2L pass with too few multiply-adds per near-field pair
+        assert not engine._overlaps(work.live, config.order, 10**8)
+
+    def test_pooled_and_inline_give_the_same_bits(self, monkeypatch):
+        targets, particles, config = field_probe_shape()
+        threads = self.near_threads(monkeypatch)
+        with monkeypatch.context() as inline:
+            inline.setattr(engine, "_chunk_pool", lambda: (None, 0))
+            expected = evaluate_at(targets, particles, config, UNIT)
+        with ThreadPoolExecutor(1) as pool:
+            monkeypatch.setattr(engine, "_chunk_pool", lambda: (pool, 1))
+            pooled = evaluate_at(targets, particles, config, UNIT)
+        assert threads[0] == threading.get_ident() != threads[1]
+        assert pooled.tobytes() == expected.tobytes()
+
+    def test_the_near_field_runs_off_the_callers_thread(self, pool, monkeypatch):
+        targets, particles, config = field_probe_shape()
+        threads = self.near_threads(monkeypatch)
+        evaluate_at(targets, particles, config, UNIT)
+        assert len(threads) == 1 and threads[0] != threading.get_ident()
+
+    @pytest.mark.parametrize("n, levels, p", [(600, 4, 20), (4096, 5, 8)])
+    def test_small_or_low_order_runs_keep_their_near_field_inline(self, pool, monkeypatch, n, levels, p):
+        # (600, 4, 20): M2L runs on the caller alone; (4096, 5, 8): on the
+        # pool, with 20 multiply-adds per near-field pair
+        threads = self.near_threads(monkeypatch)
+        work = engine._tree_work(generate_particles("uniform_random", n, 2), levels, POINT, UNIT, None, p)
+        assert engine._pooled(work.live, p) == (n == 4096)
+        assert threads == [threading.get_ident()]
+
+    def test_an_error_in_the_pooled_near_field_reaches_the_caller(self, pool, monkeypatch):
+        targets, particles, config = field_probe_shape()
+        expected = evaluate_at(targets, particles, config, UNIT)
+
+        class NearFieldError(Exception):
+            pass
+
+        def failing(*args):
+            raise NearFieldError("near field failed")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(engine, "near_field", failing)
+            with pytest.raises(NearFieldError, match="near field failed"):
+                evaluate_at(targets, particles, config, UNIT)
+        assert evaluate_at(targets, particles, config, UNIT).tobytes() == expected.tobytes()
+
+    def test_shut_down_pool_runs_the_near_field_inline(self, monkeypatch):
+        # submit raises RuntimeError, as it does once the interpreter is exiting
+        targets, particles, config = field_probe_shape()
+        expected = evaluate_at(targets, particles, config, UNIT)
+        pool = ThreadPoolExecutor(1)
+        pool.shutdown()
+        monkeypatch.setattr(engine, "_chunk_pool", lambda: (pool, 1))
+        threads = self.near_threads(monkeypatch)
+        assert evaluate_at(targets, particles, config, UNIT).tobytes() == expected.tobytes()
+        assert threads == [threading.get_ident()]
+
+    def test_a_pooled_runs_record_counts_its_near_field(self, pool):
+        targets, particles, config = field_probe_shape()
+        work = engine._tree_work(particles, config.levels, config.kernel, UNIT, targets, config.order)
+        # the first stage handed the near field on and recorded none of its time
+        assert work.stats.t_near == 0.0
+        assert work.stats.t_total == work.stats.t_build + work.stats.t_upward
+        _, stats = engine._order_run(work, config.order)
+        assert stats.t_near > 0.0
+        phases = (stats.t_build, stats.t_upward, stats.t_m2l, stats.t_downward, stats.t_eval, stats.t_near)
+        assert stats.t_total >= sum(phases)
+
+    @pytest.mark.parametrize("distribution, n, levels", [
+        ("uniform_random", 50, 2), ("gaussian_patch", 300, 3), ("two_patches", 2000, 4),
+        ("uniform_random", 4096, 6), ("gaussian_patch", 20000, 7),
+    ])
+    def test_counters_equal_the_enumerations(self, distribution, n, levels):
+        # the enumerations the counters replaced: every stencil row's source,
+        # and every target leaf's neighbourhood
+        tree = build_tree(generate_particles(distribution, n, 3), levels, UNIT)
+        occupied = np.concatenate([*tree.counts[2:], [0]]) > 0
+        m2l = sum(int(np.count_nonzero(occupied[src])) for _, src in engine._pass_stencil(levels))
+        assert engine._m2l_count(tree) == m2l
+        at = build_tree(generate_particles("uniform_random", 300, 4), levels, UNIT)
+        assert engine._near_pairs(tree, at) == (engine._neighbourhoods(tree, tree)[-1],
+                                                engine._neighbourhoods(tree, at)[-1])
+        assert not engine._in_degree(levels).flags.writeable
+
+
 class TestBoundBudgets:
     def test_full_run_has_no_violations(self):
         particles = generate_particles("uniform_random", 500, 1)
@@ -934,6 +1057,19 @@ class TestBoundBudgets:
         gamma = to_arrays(particles)[2]
         got = bound_budgets(tree, gamma, order)
         assert got.tobytes() == per_offset_budgets(tree, gamma, order).tobytes()
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_one_live_column_sums_its_offsets_in_turn(self, levels):
+        # one target: one live cell per level, so at depth 2 one column of
+        # terms, which numpy's reduction would sum pairwise
+        particles = generate_particles("uniform_random", 800, 6)
+        tree = build_tree(particles, levels, UNIT)
+        full = bound_budgets(tree, particles.gamma, 9)
+        for i in (0, 377):
+            at = build_tree([particle_list(particles)[i]], levels, UNIT)
+            gathered = engine._budget_gather(tree, particles.gamma[tree.order], engine._live_rows(at))
+            assert len(gathered[2]) == levels - 1
+            assert engine._budgets_at(tree, gathered, 9, at).tobytes() == full[i:i + 1].tobytes()
 
     def test_budgets_positive_and_in_original_order(self):
         particles = generate_particles("uniform_random", 100, 5)

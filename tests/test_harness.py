@@ -430,6 +430,20 @@ class TestSweepTreeWork:
         assert computed == config.run_count == 3 * len(groups)
         assert built == near == groups
 
+    def test_a_sampled_study_sweep_never_makes_the_chunk_pool(self, tmp_path):
+        # no M2L pass of the shipped study's seed-1 sweep holds two full
+        # chunks, so every near field stays on the calling thread, as it was
+        # before the pool took any, and no pool thread is started
+        study = Path(__file__).resolve().parents[1] / "study.cfg"
+        stdout = run_isolated(f"""
+            import dataclasses
+            from vortexfmm import engine, harness
+            config = dataclasses.replace(harness.parse_sweep_config({str(study)!r}), seeds=(1,))
+            harness.run_sweep(config, {str(tmp_path / "study.csv")!r})
+            print(engine._pool)
+        """)
+        assert stdout == "None\n"
+
     def test_one_budget_gather_per_n_l_seed_and_standalone_budgets(self, tmp_path, monkeypatch):
         config = self.config()
         # a particle set is told apart by its count and its smallest circulation
