@@ -449,10 +449,10 @@ def _overlaps(live: tuple, order: int, near_pairs: int) -> bool:
 
     The calling thread hides the near field behind M2L's BLAS products,
     which release the interpreter lock.  Where they are few next to the
-    near field's pairs (at low order, 5-20 multiply-adds per pair), the two
-    threads only contend for the lock: the call is no faster, its phases
-    take longer, and at 5 per pair the call took up to 20% longer.  From
-    about 27 per pair the overlap paid (``BENCH_near_overlap.json``)."""
+    near field's pairs (at low order), the two threads mostly contend for
+    the lock: on a 2-vCPU VM the call was no faster at 5-20 multiply-adds
+    per pair, its phases took longer, and at 5 it took up to 20% longer;
+    from about 27 the overlap paid."""
     cells = sum(len(dest) for dest, _ in live)
     return _pooled(live, order) and cells * 27 * (order + 1) ** 2 >= _OVERLAP_MACS * near_pairs
 
