@@ -981,6 +981,31 @@ class TestNearFieldOverlap:
         assert evaluate_at(targets, particles, config, UNIT).tobytes() == expected.tobytes()
         assert threads == [threading.get_ident()]
 
+    def test_concurrent_overlapped_calls_on_more_threads_than_cores(self, monkeypatch):
+        # three callers share four pool threads with a short switch interval:
+        # a near field added to the wrong call, or lost, would change the bits
+        axis = (np.arange(64) + 0.5) / 64
+        targets = np.stack([a.ravel() for a in np.meshgrid(axis, axis)], axis=1)
+        particles = generate_particles("uniform_random", 2048, 6)
+        configs = [FmmConfig(5, p) for p in (20, 24, 30)]
+        expected = [evaluate_at(targets, particles, config, UNIT) for config in configs]
+        results = [None] * len(configs)
+        threads = self.near_threads(monkeypatch)
+        interval = sys.getswitchinterval()
+        with ThreadPoolExecutor(4) as pool:
+            monkeypatch.setattr(engine, "_chunk_pool", lambda: (pool, 4))
+            sys.setswitchinterval(1e-6)
+            try:
+                def call(i):
+                    results[i] = evaluate_at(targets, particles, configs[i], UNIT)
+
+                assert joined_within([threading.Thread(target=call, args=(i,)) for i in range(len(configs))])
+            finally:
+                sys.setswitchinterval(interval)
+        assert len(threads) == len(configs) and threading.get_ident() not in threads
+        for got, want in zip(results, expected):
+            assert got.tobytes() == want.tobytes()
+
     def test_a_pooled_runs_record_counts_its_near_field(self, pool):
         targets, particles, config = field_probe_shape()
         work = engine._tree_work(particles, config.levels, config.kernel, UNIT, targets, config.order)
