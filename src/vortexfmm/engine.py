@@ -766,12 +766,13 @@ def _tree_work(particles: Particles | Sequence[Particle], levels: int, kernel: K
     Targets are the particles when ``targets`` ((M, 2) positions) is
     ``None``.
 
-    When the M2L pass at ``order`` will use the chunk pool and outweighs the
-    near field (``_overlaps``), the near field goes to the pool, and the
-    caller goes on with P2M, M2M and its share of M2L; the pool thread joins
-    M2L once the near field is done.  The record then holds no near-field
-    time (``t_near`` 0), which ``_order_run`` adds.  Otherwise, or when the
-    pool takes no work, the near field runs here, inline."""
+    When the M2L pass at ``order`` will use the chunk pool and holds enough
+    multiply-adds per near-field pair (``_overlaps``), the near field goes to
+    the pool, and the caller goes on with P2M, M2M and its share of M2L; the
+    pool thread joins M2L once the near field is done.  The record then
+    holds no near-field time (``t_near`` 0), which ``_order_run`` adds.
+    Otherwise, or when the pool takes no work, the near field runs here,
+    inline."""
     if not particles:
         raise ValueError("need at least one particle")
     t0 = time.perf_counter()
