@@ -45,14 +45,15 @@ the near field's separations, and blob cores whose 2 sigma^2 underflows;
 the second raises rather than return a velocity that is not finite.
 
 The near field and the far field read nothing of each other, so they may
-run at once (Greengard & Rokhlin 1987).  When the M2L pass at the first
-stage's order will use the chunk pool and holds enough BLAS work to hide the
-near field behind (``_overlaps``, below), the first stage hands the near
-field to the pool, and the calling thread goes on with P2M, M2M and its
-share of M2L; the pool thread takes M2L chunks once the near field is done,
-and ``_order_run`` waits for it only where it adds it in.  Any other run, a
-sampled study sweep's or a low-order ``evaluate`` among them, computes the
-near field on the calling thread, inline.  Either way the same function runs
+run at once (Greengard & Rokhlin 1987).  ``evaluate`` and ``evaluate_at``,
+which run one order, let the first stage hand the near field to the chunk
+pool when the M2L pass at that order will use the pool and holds enough BLAS
+work to hide the near field behind (``_overlaps``, below).  The calling
+thread then goes on with P2M, M2M and its share of M2L; the pool thread
+takes M2L chunks once the near field is done, and ``_order_run`` waits for
+it only where it adds it in.  Every other run computes the near field on
+the calling thread, inline: a low-order ``evaluate`` and every sweep row,
+whose first stage serves several orders.  Either way the same function runs
 on the same read-only arrays, so the velocities are the same bit for bit.
 
 Every coefficient is stored in units of its own cell side h: a multipole as
@@ -157,10 +158,13 @@ class FmmRunStats:
     order (a sweep's largest), which counts in ``t_total`` too, as the
     build's and the near field's count in theirs.
 
-    ``t_total`` is the run's serial cost, the sum of its phases and the
-    steps between them.  A run whose near field went to the chunk pool (see
-    ``_tree_work``) timed it there, and overlapped it with P2M, M2M and
-    M2L, so such a call returns sooner than its ``t_total``.
+    ``t_total`` is the time from the first stage's start to the second's
+    end: for a run with its near field inline, the sum of its phases and
+    the steps between them.  A run whose near field went to the chunk pool
+    (see ``_tree_work``) timed it there, overlapped with P2M, M2M and M2L,
+    so its phases sum to more than its ``t_total``.  A sweep row's is the
+    cost of a standalone run: its own stage's time plus the recorded time
+    of the first stage it shares.
 
     The record is frozen.  The first stage makes one whose ``order`` is its
     P2M order, ``t_upward`` its P2M time and ``t_total`` its build, near
@@ -437,7 +441,7 @@ def _pooled(live: tuple, order: int) -> bool:
 
 
 #: M2L multiply-adds per near-field pair from which the near field overlaps
-#: M2L (see ``_overlaps``)
+#: M2L (see ``_overlaps``); measured on one 2-core VM only
 _OVERLAP_MACS = 24
 
 
@@ -450,9 +454,15 @@ def _overlaps(live: tuple, order: int, near_pairs: int) -> bool:
     The calling thread hides the near field behind M2L's BLAS products,
     which release the interpreter lock.  Where they are few next to the
     near field's pairs (at low order), the two threads mostly contend for
-    the lock: on a 2-vCPU VM the call was no faster at 5-20 multiply-adds
-    per pair, its phases took longer, and at 5 it took up to 20% longer;
-    from about 27 the overlap paid."""
+    the lock.  On one 2-core VM, the only machine it was measured on, the
+    call was no faster at 5-20 multiply-adds per pair (order 8 and 14, 4096
+    to 131072 particles), its phases took longer, and at 5 it took up to 20%
+    longer; from about 27 the overlap paid (order 14 to 40).  perfbench's
+    field_probe (about 1710 per pair) is the only benchmark workload above
+    the threshold, and none runs a pooled pass below it; ``scripts/bench.py``'s
+    order-8 ladder rows fall below it and keep the near field inline.
+    On more cores the pool has more threads for M2L, so the threshold may
+    differ."""
     cells = sum(len(dest) for dest, _ in live)
     return _pooled(live, order) and cells * 27 * (order + 1) ** 2 >= _OVERLAP_MACS * near_pairs
 
@@ -760,17 +770,18 @@ def _submit_near(args: tuple) -> Callable[[], tuple[np.ndarray, float]] | None:
 
 
 def _tree_work(particles: Particles | Sequence[Particle], levels: int, kernel: KernelKind,
-               domain: Domain | None, targets: np.ndarray | None, order: int) -> _TreeWork:
+               domain: Domain | None, targets: np.ndarray | None, order: int, overlap: bool = False) -> _TreeWork:
     """The first stage: everything that does not depend on the order, and the
     leaf multipoles at ``order``, of which every lower order's are a prefix.
     Targets are the particles when ``targets`` ((M, 2) positions) is
     ``None``.
 
-    When the M2L pass at ``order`` will use the chunk pool and holds enough
-    multiply-adds per near-field pair (``_overlaps``), the near field goes to
-    the pool, and the caller goes on with P2M, M2M and its share of M2L; the
-    pool thread joins M2L once the near field is done.  The record then
-    holds no near-field time (``t_near`` 0), which ``_order_run`` adds.
+    With ``overlap``, which only a caller that runs ``order`` alone passes,
+    and when the M2L pass at ``order`` will use the chunk pool and holds
+    enough multiply-adds per near-field pair (``_overlaps``), the near field
+    goes to the pool, and the caller goes on with P2M, M2M and its share of
+    M2L; the pool thread joins M2L once the near field is done.  The record
+    then holds no near-field time (``t_near`` 0), which ``_order_run`` adds.
     Otherwise, or when the pool takes no work, the near field runs here,
     inline."""
     if not particles:
@@ -805,7 +816,7 @@ def _tree_work(particles: Particles | Sequence[Particle], levels: int, kernel: K
 
     pair_count, near_pairs = _near_pairs(tree, at)
     args = (tree, z_sorted, gamma_sorted, particles.sigma[tree.order], kernel, at, zt_sorted)
-    near = _submit_near(args) if _overlaps(live, order, near_pairs) else None
+    near = _submit_near(args) if overlap and _overlaps(live, order, near_pairs) else None
     t_near = 0.0
     if near is None:
         done = _near_timed(*args)
@@ -826,9 +837,9 @@ def _order_run(work: _TreeWork, order: int) -> tuple[np.ndarray, FmmRunStats]:
     Returns (u, v) rows in target order and a new ``FmmRunStats`` completed
     from the first stage's ``work.stats``: its counters and its build time,
     the near field's time, this stage's phases with the recorded P2M time
-    added to ``t_upward``, and a ``t_total`` of this stage's time, less any
-    wait for the near field, plus the first stage's and the near field's
-    time, the cost of a standalone serial run.  ``work`` must hold its leaf
+    added to ``t_upward``, and a ``t_total`` of this stage's time, its wait
+    for a pooled near field included, plus the first stage's (see
+    ``FmmRunStats``).  ``work`` must hold its leaf
     multipoles at ``order`` or above (see ``upward_pass``).  A velocity that
     is not finite raises ``ValueError`` naming its target, and an error
     raised by a pooled near field is raised here."""
@@ -844,11 +855,9 @@ def _order_run(work: _TreeWork, order: int) -> tuple[np.ndarray, FmmRunStats]:
     marks.append(time.perf_counter())
     t_upward, t_m2l, t_downward, t_eval = np.diff(marks).tolist()
     near_vel, t_near = work.near()
-    t_wait = time.perf_counter() - marks[-1]
     velocities = np.empty_like(vel_sorted)
     velocities[work.at.order] = vel_sorted + near_vel
-    # the first stage's record holds the near field's time unless it was pooled
-    t_total = time.perf_counter() - marks[0] - t_wait + first.t_total + (t_near - first.t_near)
+    t_total = time.perf_counter() - marks[0] + first.t_total
     stats = FmmRunStats(first.n, first.levels, order, first.t_build, t_upward + first.t_upward, t_m2l, t_downward,
                         t_eval, t_near, t_total, first.m2l_count, first.near_pair_count, first.sigma_guard_ok)
     return _check_finite(velocities, "velocity at target"), stats
@@ -864,7 +873,8 @@ def evaluate(
     Returns an (N, 2) array of (u, v) rows in the original particle order.
     When no domain is given, the smallest enclosing square is used.
     """
-    return _order_run(_tree_work(particles, config.levels, config.kernel, domain, None, config.order), config.order)
+    work = _tree_work(particles, config.levels, config.kernel, domain, None, config.order, overlap=True)
+    return _order_run(work, config.order)
 
 
 def evaluate_at(
@@ -876,4 +886,5 @@ def evaluate_at(
     """Velocity at arbitrary in-domain target points (not necessarily particles),
     checked for shape and finiteness as ``velocity_direct`` checks them."""
     pts = _check_targets(targets)
-    return _order_run(_tree_work(particles, config.levels, config.kernel, domain, pts, config.order), config.order)[0]
+    work = _tree_work(particles, config.levels, config.kernel, domain, pts, config.order, overlap=True)
+    return _order_run(work, config.order)[0]

@@ -2,7 +2,9 @@ import collections
 import dataclasses
 import json
 import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -443,6 +445,27 @@ class TestSweepTreeWork:
             print(engine._pool)
         """)
         assert stdout == "None\n"
+
+    def test_a_pooled_pass_keeps_the_near_field_on_the_callers_thread(self, monkeypatch):
+        # a particle set's first stage serves every order of its depth, so it
+        # keeps its near field inline even where the pass at its order is
+        # pooled and an evaluate at that order would hand it to the pool
+        particle_set = harness._ParticleSet.generated("uniform_random", 4096, 1, "point", DEFAULT_SIGMA, None)
+        threads, near_field = [], engine.near_field
+
+        def recorded(*args):
+            threads.append(threading.get_ident())
+            return near_field(*args)
+
+        monkeypatch.setattr(engine, "near_field", recorded)
+        with ThreadPoolExecutor(1) as pool:
+            monkeypatch.setattr(engine, "_chunk_pool", lambda: (pool, 1))
+            case = run_case(particle_set, 6, 40)
+            work = particle_set.work
+            assert engine._overlaps(work.live, 40, engine._near_pairs(work.tree, work.at)[1])
+            assert threads == [threading.get_ident()]
+            assert case.velocities.tobytes() == evaluate(particle_set.particles, FmmConfig(6, 40), UNIT_DOMAIN)[0].tobytes()
+        assert len(threads) == 2 and threads[1] != threading.get_ident()
 
     def test_one_budget_gather_per_n_l_seed_and_standalone_budgets(self, tmp_path, monkeypatch):
         config = self.config()
